@@ -69,13 +69,7 @@ let pipeline ctx store path plan contexts =
   let path_len = Path.length path in
   match (plan : Plan.t) with
   | Plan.Simple { dedup_intermediate } ->
-    let infos = List.map (fun id -> Store.info store id) contexts in
-    let producer =
-      List.fold_left
-        (fun producer step -> Unnest_map.create ctx ~step ~dedup:dedup_intermediate producer)
-        (of_list infos) path
-    in
-    (producer, None, None, None)
+    (Unnest_map.create ctx ~path ~dedup:dedup_intermediate contexts, None, None, None)
   | Plan.Reordered { io; dslash; fused } ->
     if not (Path.is_downward path) then
       invalid_arg "Exec.run: reordered plans require downward axes only";

@@ -139,8 +139,8 @@ let decode s =
    A full [decode] materialises ~90 heap words per record (the page-copy
    string, five slot options, the ordpath) — by far the dominant CPU
    cost of a scan. [nav_of_bytes] instead parses exactly those fields in
-   place, from the span {!Xnav_storage.Page.record_span} exposes, into
-   one unboxed int:
+   place, from the page buffer at {!Xnav_storage.Page.record_offset},
+   into one unboxed int:
 
    {v
    bits 0..1    kind (1 = Core, 2 = Down, 3 = Up; 0 is never produced,
@@ -166,33 +166,108 @@ let nav_high word = word lsr 32
 
 let slot_field v = if v = none_slot then 0 else v + 1
 
-let read_u16_bytes b off = Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+(* Varints (unsigned LEB128, as [add_varint] writes them) read in place
+   without allocating; one-byte varints — nearly every tag id, page and
+   slot — skip the loop. *)
+let varint_end = Xnav_xml.Ordpath.varint_end
 
-let read_varint_bytes b off =
-  let rec go off shift acc =
-    let byte = Char.code (Bytes.get b off) in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte < 0x80 then (acc, off + 1) else go (off + 1) (shift + 7) acc
-  in
-  go off 0 0
+let varint_at b off =
+  let c = Char.code (Bytes.get b off) in
+  if c < 0x80 then c else Xnav_xml.Ordpath.varint_value b off
 
 let nav_of_bytes b off =
   match Bytes.get b off with
   | '\000' ->
-    let first_child = read_u16_bytes b (off + 3) in
-    let next_sibling = read_u16_bytes b (off + 7) in
-    let tag_id, _ = read_varint_bytes b (off + 11) in
+    let first_child = Bytes.get_uint16_le b (off + 3) in
+    let next_sibling = Bytes.get_uint16_le b (off + 7) in
+    let tag_id = varint_at b (off + 11) in
     nav_core lor (slot_field first_child lsl 2) lor (slot_field next_sibling lsl 17)
     lor (tag_id lsl 32)
   | '\001' ->
-    let next_sibling = read_u16_bytes b (off + 3) in
-    let pid, off' = read_varint_bytes b (off + 7) in
-    let slot, _ = read_varint_bytes b off' in
+    let next_sibling = Bytes.get_uint16_le b (off + 3) in
+    let pid = varint_at b (off + 7) in
+    let slot = varint_at b (varint_end b (off + 7)) in
     nav_down lor (slot_field next_sibling lsl 2) lor ((slot + 1) lsl 17) lor (pid lsl 32)
   | '\002' | '\003' ->
-    let first_child = read_u16_bytes b (off + 1) in
+    let first_child = Bytes.get_uint16_le b (off + 1) in
     nav_up lor (slot_field first_child lsl 2)
   | c -> invalid_arg (Printf.sprintf "Node_record.nav_of_bytes: unknown kind %d" (Char.code c))
+
+(* --- In-place field access ------------------------------------------------
+
+   Global navigation reads a record's links straight from the page
+   buffer into a reusable [fields] block. The offsets mirror [encode]:
+   Core = kind, five slots, tag varint, ordpath; Down = kind, three
+   slots, target NodeID; Up = kind, two slots, target NodeID, owner
+   NodeID. Tag ids and link varints are almost always one byte, so
+   that case is read without a loop. *)
+
+type fields = {
+  mutable kind : int;
+  mutable parent : int;
+  mutable first_child : int;
+  mutable last_child : int;
+  mutable next_sibling : int;
+  mutable prev_sibling : int;
+  mutable tag_id : int;
+  mutable target_pid : int;
+  mutable target_slot : int;
+  mutable owner_pid : int;
+  mutable owner_slot : int;
+  mutable continues : bool;
+}
+
+let slot_at b off =
+  let v = Bytes.get_uint16_le b off in
+  if v = none_slot then -1 else v
+
+let fields () =
+  {
+    kind = 0;
+    parent = -1;
+    first_child = -1;
+    last_child = -1;
+    next_sibling = -1;
+    prev_sibling = -1;
+    tag_id = -1;
+    target_pid = -1;
+    target_slot = -1;
+    owner_pid = -1;
+    owner_slot = -1;
+    continues = false;
+  }
+
+let read_fields f b off =
+  match Bytes.get b off with
+  | '\000' ->
+    f.kind <- nav_core;
+    f.parent <- slot_at b (off + 1);
+    f.first_child <- slot_at b (off + 3);
+    f.last_child <- slot_at b (off + 5);
+    f.next_sibling <- slot_at b (off + 7);
+    f.prev_sibling <- slot_at b (off + 9);
+    f.tag_id <- varint_at b (off + 11)
+  | '\001' ->
+    f.kind <- nav_down;
+    f.parent <- slot_at b (off + 1);
+    f.next_sibling <- slot_at b (off + 3);
+    f.prev_sibling <- slot_at b (off + 5);
+    f.target_pid <- varint_at b (off + 7);
+    f.target_slot <- varint_at b (varint_end b (off + 7))
+  | ('\002' | '\003') as k ->
+    f.kind <- nav_up;
+    f.first_child <- slot_at b (off + 1);
+    f.last_child <- slot_at b (off + 3);
+    f.target_pid <- varint_at b (off + 5);
+    let off = varint_end b (off + 5) in
+    f.target_slot <- varint_at b off;
+    let off = varint_end b off in
+    f.owner_pid <- varint_at b off;
+    f.owner_slot <- varint_at b (varint_end b off);
+    f.continues <- k = '\003'
+  | c -> invalid_arg (Printf.sprintf "Node_record.read_fields: unknown kind %d" (Char.code c))
+
+let ordpath_at b off = Xnav_xml.Ordpath.decode_bytes b (varint_end b (off + 11))
 
 let encoded_size record = String.length (encode record)
 

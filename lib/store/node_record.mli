@@ -67,9 +67,9 @@ val decode : string -> t
     Chain walking needs only a record's kind, tag and first-child /
     next-sibling links; a full {!decode} allocates ~90 heap words per
     record (page copy, slot options, ordpath) and dominated scan CPU.
-    [nav_of_bytes] parses exactly those fields in place — from the span
-    {!Xnav_storage.Page.record_span} exposes — into one unboxed int the
-    fused automaton can test and follow without allocating. *)
+    [nav_of_bytes] parses exactly those fields in place — from the page
+    buffer at {!Xnav_storage.Page.record_offset} — into one unboxed int
+    the fused automaton can test and follow without allocating. *)
 
 val nav_core : int
 val nav_down : int
@@ -94,6 +94,43 @@ val nav_link2 : int -> int
 val nav_high : int -> int
 (** [Core]: tag id ({!Xnav_xml.Tag.id}); [Down]: the target [Up]'s page
     id. *)
+
+(** {2 In-place field access}
+
+    Global navigation (the store's border-transparent axes, which the
+    Simple plan runs on) reads each record it visits straight from the
+    page buffer, at the offset {!Xnav_storage.Page.record_offset} gives,
+    into one reusable mutable block: no record copy, no slot options,
+    and no ordpath unless asked for ({!ordpath_at}). *)
+
+type fields = {
+  mutable kind : int;  (** {!nav_core}, {!nav_down} or {!nav_up}. *)
+  mutable parent : int;  (** Core, Down. *)
+  mutable first_child : int;  (** Core, Up. *)
+  mutable last_child : int;  (** Core, Up. *)
+  mutable next_sibling : int;  (** Core, Down. *)
+  mutable prev_sibling : int;  (** Core, Down. *)
+  mutable tag_id : int;  (** Core: {!Xnav_xml.Tag.id} of the tag. *)
+  mutable target_pid : int;  (** Down, Up: the companion border. *)
+  mutable target_slot : int;
+  mutable owner_pid : int;  (** Up: the run's logical parent. *)
+  mutable owner_slot : int;
+  mutable continues : bool;  (** Up: {!up.continues}. *)
+}
+(** The links of one record. Slot fields are [-1] when absent; a field
+    the record's kind does not carry keeps its previous value. *)
+
+val fields : unit -> fields
+(** A fresh block. *)
+
+val read_fields : fields -> Bytes.t -> int -> unit
+(** [read_fields f bytes off] loads the record encoded at [off] into [f],
+    without allocating.
+    @raise Invalid_argument on an unknown record kind. *)
+
+val ordpath_at : Bytes.t -> int -> Xnav_xml.Ordpath.t
+(** The ordpath of the Core record encoded at [off] — the only field
+    whose read allocates. *)
 
 val encoded_size : t -> int
 (** [encoded_size r = String.length (encode r)]. *)

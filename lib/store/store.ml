@@ -349,7 +349,7 @@ let get v slot =
   end
 
 (* The fused automaton's record access: the packed navigation word,
-   parsed in place from the page span — no record string copy, no slot
+   parsed in place from the page buffer — no record string copy, no slot
    options, no ordpath. Shares the swizzle counters and the mutation
    stamp with [get]; a parsed word is cached per slot exactly like a
    decoded record (0 marks an unparsed slot — [nav_of_bytes] never
@@ -357,10 +357,8 @@ let get v slot =
 let nav v slot =
   check_live v;
   let t = v.owner in
-  if not t.swizzle then begin
-    let bytes, off = Page.record_span v.page slot in
-    Node_record.nav_of_bytes bytes off
-  end
+  if not t.swizzle then
+    Node_record.nav_of_bytes (Page.to_bytes v.page) (Page.record_offset v.page slot)
   else begin
     revalidate v t;
     if slot >= 0 && slot < Array.length v.nav then begin
@@ -370,8 +368,9 @@ let nav v slot =
         word
       end
       else begin
-        let bytes, off = Page.record_span v.page slot in
-        let word = Node_record.nav_of_bytes bytes off in
+        let word =
+          Node_record.nav_of_bytes (Page.to_bytes v.page) (Page.record_offset v.page slot)
+        in
         t.swizzle_misses <- t.swizzle_misses + 1;
         v.nav.(slot) <- word;
         word
@@ -379,8 +378,7 @@ let nav v slot =
     end
     else begin
       t.swizzle_misses <- t.swizzle_misses + 1;
-      let bytes, off = Page.record_span v.page slot in
-      Node_record.nav_of_bytes bytes off
+      Node_record.nav_of_bytes (Page.to_bytes v.page) (Page.record_offset v.page slot)
     end
   end
 
@@ -502,284 +500,357 @@ let read t (id : Node_id.t) =
     Buffer_manager.unfix t.buffer frame;
     raise e
 
-let info t id =
-  match read t id with
-  | Node_record.Core c -> { id; tag = c.tag; ordpath = c.ordpath }
-  | Node_record.Down _ | Node_record.Up _ ->
-    invalid_arg (Printf.sprintf "Store.info: %s is a border record" (Node_id.to_string id))
-
 (* --- Global navigation --------------------------------------------------- *)
 
-(* Forward walk of a sibling chain across clusters: Down records are
-   resolved eagerly through their target Up, and at the end of a run the
-   walk resumes after the run's Down (runs created by in-place updates
-   may sit mid-chain). Positions are (pid, slot option, anchor slot). *)
-let rec chain_next ?stop_up t pid slot_opt ~parent_slot =
-  match slot_opt with
-  | None -> begin
-    (* End of a segment: if anchored by an Up, resume after its Down —
-       unless the Up is [stop_up], the entry point of a border
-       continuation, whose post-run siblings belong to the cluster the
-       crossing came from. *)
-    match parent_slot with
-    | None -> None
-    | Some pslot -> begin
-      let anchor = Node_id.make ~pid ~slot:pslot in
-      match read t anchor with
-      | Node_record.Core _ -> None (* true end of the children list *)
-      | Node_record.Up u ->
-        if
-          (not u.continues)
-          || match stop_up with Some stop -> Node_id.equal stop anchor | None -> false
-        then None
+(* One in-place walker serves every border-transparent axis: the Simple
+   plan, fallback mode, [info] and the reference evaluators all run on
+   it. Each record access is one [load] — touch, fix, parse the few
+   fields the walk needs straight from the page bytes, unfix — so a step
+   costs the buffer lookup the paper charges per edge and little else:
+   no record copy, no slot options, and an ordpath only for a node the
+   walk emits, decoded under the pin of the read that found it.
+
+   The fix sequence is the specification: one [load] per record the
+   chain walk visits, in the same order as a decode-per-record walk, so
+   buffer lookups, LRU ticks, evictions and the simulated I/O trace do
+   not depend on how much of each record is parsed. Chain positions are
+   (pid, slot, anchor slot) triples with -1 for "none"; at the end of a
+   run the walk re-reads the anchor and, for a mid-chain run (an Up with
+   [continues]), resumes after the run's Down. *)
+
+let m_done = 0
+let m_chain = 1 (* sibling chain; [descend] adds each node's subtree *)
+let m_prev = 2 (* preceding siblings, backwards *)
+let m_parent = 3
+let m_ancestors = 4
+
+type walker = {
+  store : t;
+  test : int;  (* tag id an emitted node must carry; -1 = any *)
+  ordpaths : bool;  (* decode the ordpath of emitted nodes *)
+  f : Node_record.fields;  (* the record the last [load] read *)
+  mutable ordpath : Xnav_xml.Ordpath.t;  (* of the last emitted node *)
+  mutable mode : int;
+  mutable descend : bool;
+  mutable self_pending : bool;
+  mutable cpid : int;  (* the context node; the ancestor walk's cursor *)
+  mutable cslot : int;
+  mutable stop_pid : int;  (* the Up a resumed walk must not leave by *)
+  mutable stop_slot : int;
+  mutable stack : int array;  (* chain positions, three ints each *)
+  mutable sp : int;
+  (* The node the last successful [walk_next] emitted. *)
+  mutable pid : int;
+  mutable slot : int;
+}
+
+let walker ?(test = -1) ?(ordpaths = true) store =
+  {
+    store;
+    test;
+    ordpaths;
+    f = Node_record.fields ();
+    ordpath = Xnav_xml.Ordpath.root;
+    mode = m_done;
+    descend = false;
+    self_pending = false;
+    cpid = -1;
+    cslot = -1;
+    stop_pid = -1;
+    stop_slot = -1;
+    stack = [||];
+    sp = 0;
+    pid = -1;
+    slot = -1;
+  }
+
+let matches w = w.test < 0 || w.test = w.f.tag_id
+
+let fields w page slot ~emit =
+  let b = Page.to_bytes page and off = Page.record_offset page slot in
+  Node_record.read_fields w.f b off;
+  if emit && w.ordpaths && w.f.kind = Node_record.nav_core && matches w then
+    w.ordpath <- Node_record.ordpath_at b off
+
+(* One record access. [emit] marks the read of a node the walk may
+   return: only such a read decodes an ordpath. The pin never leaks — a
+   stale slot raises from [Page.record_offset] with the pool balanced. *)
+let load w pid slot ~emit =
+  let t = w.store in
+  touch t pid;
+  let frame = Buffer_manager.fix t.buffer pid in
+  match fields w (Buffer_manager.page frame) slot ~emit with
+  | () -> Buffer_manager.unfix t.buffer frame
+  | exception e ->
+    Buffer_manager.unfix t.buffer frame;
+    raise e
+
+let border_context () = invalid_arg "Store.global_axis: context is a border record"
+
+let load_context w pid slot =
+  load w pid slot ~emit:false;
+  if w.f.kind <> Node_record.nav_core then border_context ()
+
+(* Read a core node as the walk's emission. *)
+let load_core w pid slot =
+  load w pid slot ~emit:true;
+  if w.f.kind <> Node_record.nav_core then
+    invalid_arg
+      (Printf.sprintf "Store.info: %s is a border record"
+         (Node_id.to_string (Node_id.make ~pid ~slot)));
+  w.pid <- pid;
+  w.slot <- slot
+
+let push w pid slot parent =
+  let i = 3 * w.sp in
+  if i + 3 > Array.length w.stack then begin
+    let grown = Array.make (max 24 (2 * Array.length w.stack)) 0 in
+    Array.blit w.stack 0 grown 0 i;
+    w.stack <- grown
+  end;
+  w.stack.(i) <- pid;
+  w.stack.(i + 1) <- slot;
+  w.stack.(i + 2) <- parent;
+  w.sp <- w.sp + 1
+
+(* Forward chain walk from (pid, slot, par) to the next core, loaded and
+   recorded as [w.pid]/[w.slot]; false at the end of the chain. A Down
+   is resolved eagerly through its Up; at the end of a run the walk
+   resumes after the run's Down unless the anchor is the stop Up (the
+   entry of a resumed walk, whose post-run siblings belong to the cluster
+   the crossing came from). The stop check applies at the walk's own
+   level only, not inside a run entered through a Down. *)
+let rec chain_next w pid slot par ~stop =
+  if slot < 0 then begin
+    if par < 0 then false
+    else begin
+      load w pid par ~emit:false;
+      if w.f.kind = Node_record.nav_core then false (* true end of the children list *)
+      else if w.f.kind = Node_record.nav_up then begin
+        if (not w.f.continues) || (stop && w.stop_pid = pid && w.stop_slot = par) then false
         else begin
-          match read t u.target with
-          | Node_record.Down d ->
-            chain_next ?stop_up t u.target.pid d.next_sibling ~parent_slot:d.parent
-          | Node_record.Core _ | Node_record.Up _ -> assert false
+          let dpid = w.f.target_pid in
+          load w dpid w.f.target_slot ~emit:false;
+          if w.f.kind <> Node_record.nav_down then assert false;
+          chain_next w dpid w.f.next_sibling w.f.parent ~stop
         end
-      | Node_record.Down _ -> assert false
+      end
+      else assert false
     end
   end
-  | Some slot -> begin
-    match read t (Node_id.make ~pid ~slot) with
-    | Node_record.Core c ->
-      Some
-        ( { id = Node_id.make ~pid ~slot; tag = c.tag; ordpath = c.ordpath },
-          c,
-          (pid, c.next_sibling, c.parent) )
-    | Node_record.Down d -> begin
-      match read t d.target with
-      | Node_record.Up u ->
-        chain_next t d.target.pid u.first_child ~parent_slot:(Some d.target.slot)
-      | Node_record.Core _ | Node_record.Down _ -> assert false
+  else begin
+    load w pid slot ~emit:true;
+    if w.f.kind = Node_record.nav_core then begin
+      w.pid <- pid;
+      w.slot <- slot;
+      true
     end
-    | Node_record.Up _ -> assert false
+    else if w.f.kind = Node_record.nav_down then begin
+      let upid = w.f.target_pid and uslot = w.f.target_slot in
+      load w upid uslot ~emit:false;
+      if w.f.kind <> Node_record.nav_up then assert false;
+      chain_next w upid w.f.first_child uslot ~stop:false
+    end
+    else assert false (* Up records never sit in chains *)
   end
 
 (* Backward walk: at the head of a run, jump through the anchoring Up to
-   the Down that stands for the run and continue before it. *)
-let rec chain_prev t pid slot_opt ~parent_slot =
-  match slot_opt with
-  | None -> begin
-    (* Head of a segment: if anchored by an Up, continue before its Down. *)
-    match parent_slot with
-    | None -> None
-    | Some pslot -> begin
-      match read t (Node_id.make ~pid ~slot:pslot) with
-      | Node_record.Core _ -> None (* true start of the children list *)
-      | Node_record.Up u -> begin
-        match read t u.target with
-        | Node_record.Down d -> chain_prev t u.target.pid d.prev_sibling ~parent_slot:d.parent
-        | Node_record.Core _ | Node_record.Up _ -> assert false
+   the Down that stands for the run and continue before it; a Down met
+   on the way stands for a remote run, walked from its last entry. *)
+let rec chain_prev w pid slot par =
+  if slot < 0 then begin
+    if par < 0 then false
+    else begin
+      load w pid par ~emit:false;
+      if w.f.kind = Node_record.nav_core then false (* true start of the children list *)
+      else if w.f.kind = Node_record.nav_up then begin
+        let dpid = w.f.target_pid in
+        load w dpid w.f.target_slot ~emit:false;
+        if w.f.kind <> Node_record.nav_down then assert false;
+        chain_prev w dpid w.f.prev_sibling w.f.parent
       end
-      | Node_record.Down _ -> assert false
+      else assert false
     end
   end
-  | Some slot -> begin
-    match read t (Node_id.make ~pid ~slot) with
-    | Node_record.Core c ->
-      Some
-        ( { id = Node_id.make ~pid ~slot; tag = c.tag; ordpath = c.ordpath },
-          pid,
-          c.prev_sibling,
-          c.parent )
-    | Node_record.Down d -> begin
-      (* A remote run precedes: walk it backwards from its last entry. *)
-      match read t d.target with
-      | Node_record.Up u -> chain_prev t d.target.pid u.last_child ~parent_slot:(Some d.target.slot)
-      | Node_record.Core _ | Node_record.Down _ -> assert false
+  else begin
+    load w pid slot ~emit:true;
+    if w.f.kind = Node_record.nav_core then begin
+      w.pid <- pid;
+      w.slot <- slot;
+      true
     end
-    | Node_record.Up _ -> assert false
+    else if w.f.kind = Node_record.nav_down then begin
+      let upid = w.f.target_pid and uslot = w.f.target_slot in
+      load w upid uslot ~emit:false;
+      if w.f.kind <> Node_record.nav_up then assert false;
+      chain_prev w upid w.f.last_child uslot
+    end
+    else assert false
   end
 
-let parent_info t (id : Node_id.t) =
-  match read t id with
-  | Node_record.Core c -> begin
-    match c.parent with
-    | None -> None
-    | Some pslot -> begin
-      match read t (Node_id.make ~pid:id.pid ~slot:pslot) with
-      | Node_record.Core pc ->
-        Some { id = Node_id.make ~pid:id.pid ~slot:pslot; tag = pc.tag; ordpath = pc.ordpath }
-      | Node_record.Up u -> Some (info t u.owner)
-      | Node_record.Down _ -> assert false
+(* The parent of core (pid, slot): re-read the node, then its parent
+   slot — a core, or an Up whose owner is the logical parent. *)
+let parent_step w pid slot =
+  load_context w pid slot;
+  let pslot = w.f.parent in
+  if pslot < 0 then false
+  else begin
+    load w pid pslot ~emit:true;
+    if w.f.kind = Node_record.nav_core then begin
+      w.pid <- pid;
+      w.slot <- pslot;
+      true
     end
+    else if w.f.kind = Node_record.nav_up then begin
+      load_core w w.f.owner_pid w.f.owner_slot;
+      true
+    end
+    else assert false
   end
-  | Node_record.Down _ | Node_record.Up _ ->
-    invalid_arg "Store.global_axis: context is a border record"
 
-let global_axis t axis (id : Node_id.t) =
+let reset w pid slot =
+  w.mode <- m_done;
+  w.descend <- false;
+  w.self_pending <- false;
+  w.cpid <- pid;
+  w.cslot <- slot;
+  w.stop_pid <- -1;
+  w.stop_slot <- -1;
+  w.sp <- 0
+
+(* The axes that read the context eagerly do so here, when the walk
+   starts — not at the first [walk_next]. *)
+let walk w axis ~pid ~slot =
+  reset w pid slot;
   match (axis : Axis.t) with
-  | Self ->
-    let fired = ref false in
-    fun () ->
-      if !fired then None
-      else begin
-        fired := true;
-        Some (info t id)
-      end
+  | Self -> w.self_pending <- true
   | Child ->
-    let record = read t id in
-    let first =
-      match record with
-      | Node_record.Core c -> c.first_child
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let pos = ref (id.pid, first, (Some id.slot : int option)) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
-      end
+    load_context w pid slot;
+    push w pid w.f.first_child slot;
+    w.mode <- m_chain
   | Descendant | Descendant_or_self ->
-    (* Stack of chain positions; each emitted core pushes its children. *)
-    let stack = ref [] in
-    let self_pending = ref (axis = Descendant_or_self) in
-    let record = read t id in
-    (match record with
-    | Node_record.Core c -> stack := [ (id.pid, c.first_child, Some id.slot) ]
-    | Node_record.Down _ | Node_record.Up _ ->
-      invalid_arg "Store.global_axis: context is a border record");
-    let rec next () =
-      if !self_pending then begin
-        self_pending := false;
-        Some (info t id)
-      end
-      else begin
-        match !stack with
-        | [] -> None
-        | (pid, slot, parent_slot) :: rest -> begin
-          match chain_next t pid slot ~parent_slot with
-          | None ->
-            stack := rest;
-            next ()
-          | Some (inf, core, (pid', nxt, par')) ->
-            stack :=
-              (inf.id.pid, core.first_child, Some inf.id.slot) :: (pid', nxt, par') :: rest;
-            Some inf
-        end
-      end
-    in
-    next
-  | Parent ->
-    let fired = ref false in
-    fun () ->
-      if !fired then None
-      else begin
-        fired := true;
-        parent_info t id
-      end
-  | Ancestor | Ancestor_or_self ->
-    let current = ref (Some id) in
-    let self_pending = ref (axis = Ancestor_or_self) in
-    fun () ->
-      if !self_pending then begin
-        self_pending := false;
-        Some (info t id)
-      end
-      else begin
-        match !current with
-        | None -> None
-        | Some node -> begin
-          match parent_info t node with
-          | None ->
-            current := None;
-            None
-          | Some inf ->
-            current := Some inf.id;
-            Some inf
-        end
-      end
+    load_context w pid slot;
+    push w pid w.f.first_child slot;
+    w.mode <- m_chain;
+    w.descend <- true;
+    (* The self emission re-reads the node at the first [walk_next]. *)
+    w.self_pending <- axis = Descendant_or_self
   | Following_sibling ->
-    let record = read t id in
-    let next =
-      match record with
-      | Node_record.Core c -> c.next_sibling
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let parent0 =
-      match record with Node_record.Core c -> c.parent | _ -> None
-    in
-    let pos = ref (id.pid, next, parent0) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
-      end
+    load_context w pid slot;
+    push w pid w.f.next_sibling w.f.parent;
+    w.mode <- m_chain
   | Preceding_sibling ->
-    let record = read t id in
-    let prev, parent =
-      match record with
-      | Node_record.Core c -> (c.prev_sibling, c.parent)
-      | Node_record.Down _ | Node_record.Up _ ->
-        invalid_arg "Store.global_axis: context is a border record"
-    in
-    let pos = ref (id.pid, prev, parent) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      match chain_prev t pid slot ~parent_slot with
-      | None -> None
-      | Some (inf, pid', prv, par) ->
-        pos := (pid', prv, par);
-        Some inf
+    load_context w pid slot;
+    push w pid w.f.prev_sibling w.f.parent;
+    w.mode <- m_prev
+  | Parent -> w.mode <- m_parent
+  | Ancestor -> w.mode <- m_ancestors
+  | Ancestor_or_self ->
+    w.mode <- m_ancestors;
+    w.self_pending <- true
 
-let global_count t axis id =
-  let next = global_axis t axis id in
-  let rec go n = match next () with None -> n | Some _ -> go (n + 1) in
-  go 0
-
-let global_resume t axis (up_id : Node_id.t) =
+let walk_resume w axis (up_id : Node_id.t) =
   check_downward axis;
-  let up =
-    match read t up_id with
-    | Node_record.Up u -> u
-    | Node_record.Core _ | Node_record.Down _ ->
-      invalid_arg "Store.global_resume: entry is not an Up border"
-  in
+  reset w up_id.pid up_id.slot;
+  load w up_id.pid up_id.slot ~emit:false;
+  if w.f.kind <> Node_record.nav_up then
+    invalid_arg "Store.global_resume: entry is not an Up border";
   match (axis : Axis.t) with
-  | Self -> fun () -> None
-  | Child ->
-    (* Only this run: the walk must not resume past the run's own Down
-       (those siblings were enumerated in the cluster the crossing came
-       from). *)
-    let pos = ref (up_id.pid, up.first_child, (Some up_id.slot : int option)) in
-    fun () ->
-      let pid, slot, parent_slot = !pos in
-      begin
-        match chain_next ~stop_up:up_id t pid slot ~parent_slot with
-        | None -> None
-        | Some (inf, _core, next_pos) ->
-          pos := next_pos;
-          Some inf
-      end
-  | Descendant | Descendant_or_self ->
-    (* The run's nodes and all their descendants. *)
-    let stack = ref [ (up_id.pid, up.first_child, (Some up_id.slot : int option)) ] in
-    let rec next () =
-      match !stack with
-      | [] -> None
-      | (pid, slot, parent_slot) :: rest -> begin
-        match chain_next ~stop_up:up_id t pid slot ~parent_slot with
-        | None ->
-          stack := rest;
-          next ()
-        | Some (inf, core, (pid', nxt, par')) ->
-          stack :=
-            (inf.id.pid, core.first_child, Some inf.id.slot) :: (pid', nxt, par') :: rest;
-          Some inf
-      end
-    in
-    next
+  | Self -> ()
+  | Child | Descendant | Descendant_or_self ->
+    (* Only this run and its subtrees: the walk must not resume past the
+       run's own Down (those siblings were enumerated in the cluster the
+       crossing came from). *)
+    push w up_id.pid w.f.first_child up_id.slot;
+    w.stop_pid <- up_id.pid;
+    w.stop_slot <- up_id.slot;
+    w.mode <- m_chain;
+    w.descend <- axis <> Child
   | Parent | Ancestor | Ancestor_or_self | Following_sibling | Preceding_sibling ->
     assert false (* excluded by check_downward *)
+
+let rec walk_next w =
+  if w.self_pending then begin
+    w.self_pending <- false;
+    load_core w w.cpid w.cslot;
+    matches w || walk_next w
+  end
+  else if w.mode = m_chain then begin
+    if w.sp = 0 then begin
+      w.mode <- m_done;
+      false
+    end
+    else begin
+      let top = 3 * (w.sp - 1) in
+      let s = w.stack in
+      if chain_next w s.(top) s.(top + 1) s.(top + 2) ~stop:true then begin
+        (* The sibling continuation replaces the position; the subtree
+           goes on top of it (preorder). *)
+        s.(top) <- w.pid;
+        s.(top + 1) <- w.f.next_sibling;
+        s.(top + 2) <- w.f.parent;
+        if w.descend then push w w.pid w.f.first_child w.slot;
+        matches w || walk_next w
+      end
+      else begin
+        w.sp <- w.sp - 1;
+        walk_next w
+      end
+    end
+  end
+  else if w.mode = m_prev then begin
+    let s = w.stack in
+    if chain_prev w s.(0) s.(1) s.(2) then begin
+      s.(0) <- w.pid;
+      s.(1) <- w.f.prev_sibling;
+      s.(2) <- w.f.parent;
+      matches w || walk_next w
+    end
+    else begin
+      w.mode <- m_done;
+      false
+    end
+  end
+  else if w.mode = m_parent then begin
+    w.mode <- m_done;
+    parent_step w w.cpid w.cslot && (matches w || walk_next w)
+  end
+  else if w.mode = m_ancestors then begin
+    if parent_step w w.cpid w.cslot then begin
+      w.cpid <- w.pid;
+      w.cslot <- w.slot;
+      matches w || walk_next w
+    end
+    else begin
+      w.mode <- m_done;
+      false
+    end
+  end
+  else false
+
+let walk_pid w = w.pid
+let walk_slot w = w.slot
+
+let walk_info w =
+  {
+    id = Node_id.make ~pid:w.pid ~slot:w.slot;
+    tag = Xnav_xml.Tag.of_id w.f.tag_id;
+    ordpath = w.ordpath;
+  }
+
+let info t (id : Node_id.t) =
+  let w = walker t in
+  load_core w id.pid id.slot;
+  walk_info w
+
+let enumerate w () = if walk_next w then Some (walk_info w) else None
+
+let global_axis t axis (id : Node_id.t) =
+  let w = walker t in
+  walk w axis ~pid:id.pid ~slot:id.slot;
+  enumerate w
+
+let global_resume t axis up_id =
+  let w = walker t in
+  walk_resume w axis up_id;
+  enumerate w

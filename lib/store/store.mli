@@ -17,11 +17,13 @@
 
     {2 Global navigation}
 
-    {!global_axis} enumerates any of the nine axes transparently across
-    cluster borders, paying a buffer-manager lookup (and possibly a
-    random synchronous page read) per page touched. This is the access
-    pattern of the paper's Simple method and of fallback mode, and it
-    doubles as the specification layer the cursors are tested against. *)
+    A {!walker} (and {!global_axis}, built on it) enumerates any of the
+    nine axes transparently across cluster borders, paying one
+    buffer-manager lookup (and possibly a random synchronous page read)
+    per record visited, and reading each record in place. This is the
+    access pattern of the paper's Simple method and of fallback mode,
+    and it doubles as the specification layer the cursors are tested
+    against. *)
 
 type t
 
@@ -153,7 +155,7 @@ val novel_sequences : t -> Xnav_xml.Tag.t array list
 (** {2 Access / write observation}
 
     Optional observer tables for the execution layers: when a touch log
-    is installed, every record access ({!read}, {!view},
+    is installed, every record access ({!read}, a {!walker}, {!view},
     {!view_of_frame}) records the cluster it touched; when a write log
     is installed, {!note_mutation_at} records the cluster it mutated.
     The result-cache front door derives cluster footprints for cached
@@ -263,27 +265,70 @@ type info = { id : Node_id.t; tag : Xnav_xml.Tag.t; ordpath : Xnav_xml.Ordpath.t
     for node tests, ordpath for re-establishing document order. *)
 
 val read : t -> Node_id.t -> Node_record.t
-(** Synchronous single-record access (fix, decode, unfix). *)
+(** Synchronous single-record access (fix, decode, unfix): the whole
+    record, for callers that need all of it — the update layer and the
+    stale-slot probes of writer jobs. Navigation reads records in place
+    instead (see {!walker}). A stale slot raises [Invalid_argument] with
+    the pool balanced. *)
 
 val info : t -> Node_id.t -> info
-(** @raise Invalid_argument if the NodeID names a border record. *)
+(** One in-place read of a core node (fix, parse, unfix).
+    @raise Invalid_argument if the NodeID names a border record. *)
 
-(** {2 Global navigation} *)
+(** {2 Global navigation}
+
+    One walker implements all nine axes across cluster borders. A walk
+    reads each record it visits in place, under one fix/unfix pair —
+    kind, links, parent slot and tag straight from the page bytes —
+    and decodes an ordpath only for a node it emits. The sequence of
+    fixes is that of a walk decoding every record, so buffer lookups,
+    LRU state, evictions and the simulated I/O do not depend on how much
+    of each record is parsed. Every error check is kept: a border
+    context raises [Invalid_argument], and a stale slot raises with the
+    pool balanced. *)
+
+type walker
+(** A reusable walk: restart it with {!walk} for each context node. *)
+
+val walker : ?test:int -> ?ordpaths:bool -> t -> walker
+(** [walker ?test ?ordpaths t] is an idle walker over [t]. It emits only
+    nodes whose {!Xnav_xml.Tag.id} is [test] (default [-1]: any node);
+    the skipped nodes are read all the same. With [ordpaths] (default
+    [true]) it decodes the ordpath of every emitted node, under the pin
+    of the read that found it; without, {!walk_info} is not meaningful. *)
+
+val walk : walker -> Xnav_xml.Axis.t -> pid:int -> slot:int -> unit
+(** Start enumerating the axis from the core node [(pid, slot)]. The
+    child, descendant, descendant-or-self and sibling axes read the
+    context now, as {!global_axis} does; the others read nothing until
+    {!walk_next}.
+    @raise Invalid_argument if an eager read finds a border record. *)
+
+val walk_next : walker -> bool
+(** Advance to the next emitted node; [false] when the axis is done
+    (further calls read nothing and stay [false]). *)
+
+val walk_pid : walker -> int
+(** Page of the node the last successful {!walk_next} emitted. *)
+
+val walk_slot : walker -> int
+(** Slot of the node the last successful {!walk_next} emitted. *)
+
+val walk_info : walker -> info
+(** The emitted node's {!info}. Needs [ordpaths]. *)
 
 val global_axis : t -> Xnav_xml.Axis.t -> Node_id.t -> unit -> info option
-(** [global_axis t axis id] is a stateful pull iterator over the full
-    axis result for the core node [id], resolving border crossings
-    eagerly with synchronous page fixes. Supports all nine axes, in the
-    axis' natural order. *)
-
-val global_count : t -> Xnav_xml.Axis.t -> Node_id.t -> int
-(** Drains {!global_axis} and counts. *)
+(** [global_axis t axis id] is a pull iterator over the full axis result
+    for the core node [id], in the axis' natural order: a {!walker} that
+    emits every node with its ordpath. *)
 
 val global_resume : t -> Xnav_xml.Axis.t -> Node_id.t -> unit -> info option
 (** [global_resume t axis up_id] continues the enumeration of a downward
     [axis] across the border entry [up_id] (an [Up] record), resolving
     any further crossings eagerly — the border-transparent counterpart of
     {!resume}, used by fallback mode to finish work that was pending at
-    the moment of the switch.
+    the moment of the switch. It walks only the run [up_id] anchors
+    (and, for the descendant axes, its nodes' subtrees), never past the
+    run's own Down.
     @raise Invalid_argument if the axis is not downward or [up_id] does
     not name an [Up] record. *)

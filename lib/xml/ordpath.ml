@@ -141,6 +141,35 @@ let decode s off =
   done;
   (label, !off)
 
+(* In-place decoding straight from a page buffer: the label array is the
+   only allocation (no tuples, no copied record string). Each varint is
+   scanned twice — once for its value, once for its end. The store's
+   record codec reads its own varints with the same two functions. *)
+let varint_value b off =
+  let acc = ref 0 and shift = ref 0 and off = ref off in
+  while Char.code (Bytes.get b !off) >= 0x80 do
+    acc := !acc lor ((Char.code (Bytes.get b !off) land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr off
+  done;
+  !acc lor (Char.code (Bytes.get b !off) lsl !shift)
+
+let varint_end b off =
+  let off = ref off in
+  while Char.code (Bytes.get b !off) >= 0x80 do
+    incr off
+  done;
+  !off + 1
+
+let decode_bytes b off =
+  let label = Array.make (varint_value b off) 0 in
+  let off = ref (varint_end b off) in
+  for i = 0 to Array.length label - 1 do
+    label.(i) <- unzigzag (varint_value b !off);
+    off := varint_end b !off
+  done;
+  label
+
 let pp ppf label =
   Array.iteri
     (fun i c -> if i = 0 then Format.fprintf ppf "%d" c else Format.fprintf ppf ".%d" c)

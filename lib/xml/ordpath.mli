@@ -61,6 +61,19 @@ val decode : string -> int -> t * int
 (** [decode s off] reads a label encoded by {!encode} at offset [off],
     returning it and the offset just past it. *)
 
+val decode_bytes : Bytes.t -> int -> t
+(** [decode_bytes b off] reads a label encoded by {!encode} at offset
+    [off] of [b] in place, allocating only the label itself — the path
+    global navigation takes for the nodes it returns. *)
+
+val varint_value : Bytes.t -> int -> int
+(** The unsigned LEB128 varint at offset [off] of [b], read in place
+    without allocating — the varint format of this codec and of the
+    store's record codec. *)
+
+val varint_end : Bytes.t -> int -> int
+(** The offset just past the varint starting at [off] of [b]. *)
+
 val encoded_size : t -> int
 (** Exact number of bytes {!encode} will append. *)
 

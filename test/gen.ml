@@ -105,3 +105,13 @@ let reconstruct store =
     Xnav_xml.Tree.make inf.Store.tag (kids [])
   in
   build (Store.root store)
+
+(* The benchmark setup at reduced fidelity (the paper-shape tests' store):
+   enough pages to exceed the 256-frame buffer, deterministic documents. *)
+let bench_store ?(strategy = Xnav_store.Import.Dfs) ~scale () =
+  let module Gen_x = Xnav_xmark.Gen in
+  let doc = Gen_x.generate ~config:{ Gen_x.default_config with Gen_x.scale; fidelity = 0.02 } () in
+  let disk = small_disk ~page_size:4096 () in
+  let import = Xnav_store.Import.run ~strategy disk doc in
+  let buffer = Xnav_storage.Buffer_manager.create ~capacity:256 disk in
+  Xnav_store.Store.attach buffer import

@@ -17,6 +17,22 @@ let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 
+(* Simple's buffer and disk figures on the paper-shape store, per path
+   of Q6', Q7 and Q15: (result count, buffer lookups, buffer misses,
+   page reads, simulated io_time). These pin the fix sequence of global
+   navigation — how much of each record a walk parses must not change
+   which pages it fixes, in what order. Page packing, and so the pins,
+   assume every tag id fits a one-byte varint: fewer than 128 tags
+   interned in the process, as in this suite. *)
+let simple_pins =
+  let q7 = (167124, 757, 757, 0x1.b92bbc0a80921p-2) in
+  let with_count n (l, m, r, io) = (n, l, m, r, io) in
+  [
+    (Xnav_xmark.Queries.q6', [ (435, 53314, 247, 247, 0x1.ea6c8549bf66fp-4) ]);
+    (Xnav_xmark.Queries.q7, [ with_count 890 q7; with_count 435 q7; with_count 510 q7 ]);
+    (Xnav_xmark.Queries.q15, [ (154, 9045, 169, 169, 0x1.50458b19a23ecp-5) ]);
+  ]
+
 let tests =
   [
     Alcotest.test_case "stream pulls lazily and ends with None" `Quick (fun () ->
@@ -98,6 +114,40 @@ let tests =
           (Exec.cold_run ~trace:(fun _ -> incr events) ~ordered:false store
              (Xpath_parser.parse "//b") (Plan.xscan ()));
         check bool "events seen" true (!events > 0));
+    Alcotest.test_case "Simple keeps its pinned fix sequence on Q6', Q7, Q15" `Slow (fun () ->
+        let store = Gen.bench_store ~scale:1.0 () in
+        List.iter
+          (fun ((q : Xnav_xmark.Queries.t), pins) ->
+            List.iter2
+              (fun path (count, lookups, misses, reads, io) ->
+                let r = Exec.cold_run ~ordered:false store path Plan.simple in
+                let m = r.Exec.metrics in
+                let name what =
+                  Printf.sprintf "%s %s: %s" q.Xnav_xmark.Queries.name (Path.to_string path) what
+                in
+                check int (name "count") count r.Exec.count;
+                check int (name "buffer lookups") lookups m.Exec.buffer_lookups;
+                check int (name "buffer misses") misses m.Exec.buffer_misses;
+                check int (name "page reads") reads m.Exec.page_reads;
+                check (Alcotest.float 0.0) (name "io_time") io m.Exec.io_time)
+              q.Xnav_xmark.Queries.paths pins)
+          simple_pins);
+    Alcotest.test_case "Simple allocates at most 20 words per buffer lookup on Q7" `Slow
+      (fun () ->
+        (* A walk that decoded whole records would allocate ~115 words
+           per lookup; reading in place leaves the buffer manager's own
+           few words plus the results. *)
+        let store = Gen.bench_store ~scale:1.0 () in
+        List.iter
+          (fun path ->
+            let w0 = Gc.minor_words () in
+            let r = Exec.cold_run ~ordered:false store path Plan.simple in
+            let words = Gc.minor_words () -. w0 in
+            let per_lookup = words /. float_of_int r.Exec.metrics.Exec.buffer_lookups in
+            check bool
+              (Printf.sprintf "%s: %.1f words per lookup" (Path.to_string path) per_lookup)
+              true (per_lookup <= 20.0))
+          Xnav_xmark.Queries.q7.Xnav_xmark.Queries.paths);
     Alcotest.test_case "empty path is rejected" `Quick (fun () ->
         let store, _ = Gen.import_store (Gen.sample_doc ()) in
         match Exec.cold_run store [] Plan.simple with

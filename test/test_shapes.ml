@@ -2,32 +2,38 @@
    holding. These are the assertions behind EXPERIMENTS.md, runnable in
    CI at reduced fidelity. *)
 
-module Disk = Xnav_storage.Disk
-module Buffer_manager = Xnav_storage.Buffer_manager
 module Import = Xnav_store.Import
-module Store = Xnav_store.Store
 module Queries = Xnav_xmark.Queries
-module Gen_x = Xnav_xmark.Gen
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 
-(* The benchmark setup at reduced fidelity: enough pages to exceed the
-   buffer, deterministic documents. *)
-let bench_store ?(strategy = Import.Dfs) ~scale () =
-  let doc = Gen_x.generate ~config:{ Gen_x.default_config with Gen_x.scale; fidelity = 0.02 } () in
-  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
-  let import = Import.run ~strategy disk doc in
-  let buffer = Buffer_manager.create ~capacity:256 disk in
-  Store.attach buffer import
-
 let time store plan (q : Queries.t) =
   List.fold_left
     (fun acc path ->
       acc +. (Exec.cold_run ~ordered:false store path plan).Exec.metrics.Exec.total_time)
     0.0 q.Queries.paths
+
+(* Simulated I/O seconds only: deterministic, so a verdict built on it
+   cannot hinge on CPU noise or on which plan ran first in the process. *)
+let io_time ?config store plan (q : Queries.t) =
+  List.fold_left
+    (fun acc path ->
+      acc +. (Exec.cold_run ?config ~ordered:false store path plan).Exec.metrics.Exec.io_time)
+    0.0 q.Queries.paths
+
+(* The paper's I/O regime: the pure demand scheduler, serving the lowest
+   pending page, with no coalesced reads and no adaptive scan window. *)
+let paper_io =
+  let module Context = Xnav_core.Context in
+  {
+    Context.default_config with
+    Context.coalesce_window = 0;
+    Context.serve_policy = Context.Serve_min_pid;
+    Context.scan_threshold = 0.0;
+  }
 
 let simple = Plan.simple
 let xschedule = Plan.xschedule ~speculative:false ()
@@ -37,23 +43,28 @@ let tests =
   [
     Alcotest.test_case "fig 9/10: XSchedule beats Simple on every query at sf=1" `Slow
       (fun () ->
-        let store = bench_store ~scale:1.0 () in
+        let store = Gen.bench_store ~scale:1.0 () in
         List.iter
           (fun q ->
             check bool q.Queries.name true (time store xschedule q < time store simple q))
           [ Queries.q6'; Queries.q7 ]);
     Alcotest.test_case "fig 10: XScan wins Q7 by a large factor" `Slow (fun () ->
-        let store = bench_store ~scale:1.0 () in
-        let scan = time store xscan Queries.q7 in
-        check bool "vs simple >= 2.5x" true (time store simple Queries.q7 > 2.5 *. scan);
-        check bool "vs schedule" true (time store xschedule Queries.q7 > scan));
+        let store = Gen.bench_store ~scale:1.0 () in
+        (* Compared on simulated I/O in the paper's regime. With the
+           default knobs XSchedule's adaptive scan windows read the same
+           pages as XScan (0.29580 s vs 0.29445 s), so a total-time
+           verdict came down to CPU noise and run order. *)
+        let io plan = io_time ~config:paper_io store plan Queries.q7 in
+        let scan = io xscan in
+        check bool "vs simple >= 2.5x" true (io simple > 2.5 *. scan);
+        check bool "vs schedule" true (io xschedule > scan));
     Alcotest.test_case "fig 11: XScan collapses on selective Q15" `Slow (fun () ->
-        let store = bench_store ~scale:1.0 () in
+        let store = Gen.bench_store ~scale:1.0 () in
         check bool "scan much worse" true
           (time store xscan Queries.q15 > 2.0 *. time store simple Queries.q15));
     Alcotest.test_case "fig 9-11: costs grow with the scaling factor" `Slow (fun () ->
-        let small = bench_store ~scale:0.25 () in
-        let large = bench_store ~scale:1.0 () in
+        let small = Gen.bench_store ~scale:0.25 () in
+        let large = Gen.bench_store ~scale:1.0 () in
         List.iter
           (fun (q : Queries.t) ->
             List.iter
@@ -61,7 +72,7 @@ let tests =
               [ simple; xschedule; xscan ])
           Queries.all);
     Alcotest.test_case "tab 3: XScan has the highest CPU share" `Slow (fun () ->
-        let store = bench_store ~scale:1.0 () in
+        let store = Gen.bench_store ~scale:1.0 () in
         (* The paper's Table 3 profiles the pure demand scheduler over
            the XStep iterator chain, so pin both knobs to the historical
            regime: with the adaptive scan window on (the default),
@@ -69,16 +80,7 @@ let tests =
            automaton on XScan's CPU share drops below Simple's — in both
            cases the share ordering the table reports is no longer
            meaningful. *)
-        let paper =
-          let module Context = Xnav_core.Context in
-          {
-            Context.default_config with
-            Context.coalesce_window = 0;
-            Context.serve_policy = Context.Serve_min_pid;
-            Context.scan_threshold = 0.0;
-            Context.fused = false;
-          }
-        in
+        let paper = { paper_io with Xnav_core.Context.fused = false } in
         let cpu_share plan =
           let total, cpu =
             List.fold_left
@@ -93,8 +95,8 @@ let tests =
         check bool "scan > schedule" true (cpu_share xscan > cpu_share xschedule));
     Alcotest.test_case "sec 2/3: XScan is robust to layout decay, Simple is not" `Slow
       (fun () ->
-        let fresh = bench_store ~scale:0.5 () in
-        let decayed = bench_store ~strategy:(Import.Scattered 11) ~scale:0.5 () in
+        let fresh = Gen.bench_store ~scale:0.5 () in
+        let decayed = Gen.bench_store ~strategy:(Import.Scattered 11) ~scale:0.5 () in
         let ratio plan = time decayed plan Queries.q6' /. time fresh plan Queries.q6' in
         check bool "simple degrades badly" true (ratio simple > 10.0);
         check bool "scan barely moves" true (ratio xscan < 3.0));

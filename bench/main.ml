@@ -627,8 +627,9 @@ let ablation_concurrency cfg =
       a.Exec.metrics.Exec.seek_distance + b.Exec.metrics.Exec.seek_distance )
   in
   let interleaved plan =
-    let r = Xnav_core.Interleave.run ~cold:true ~ordered:false store [ (p1, plan); (p2, plan) ] in
-    (r.Xnav_core.Interleave.io_time, r.Xnav_core.Interleave.seek_distance)
+    let spec path = { Workload.label = ""; path; plan; timeout = None; ops = [] } in
+    let r = Workload.run ~cold:true ~ordered:false store [ spec p1; spec p2 ] in
+    (r.Workload.io_time, r.Workload.seek_distance)
   in
   Printf.printf "%-24s %12s %12s\n" "configuration" "io[s]" "seek-dist";
   let show label (io, seek) = Printf.printf "%-24s %12.4f %12d\n" label io seek in

@@ -12,7 +12,6 @@ module Eval_ref = Xnav_xpath.Eval_ref
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 module Multi = Xnav_core.Multi
-module Interleave = Xnav_core.Interleave
 module Workload = Xnav_workload.Workload
 module Shard = Xnav_workload.Shard
 module Update = Xnav_store.Update
@@ -176,7 +175,7 @@ let plans_for case =
   else []
 
 (* Post-run storage sweep for the execution paths that do not go through
-   [Exec.run]'s invariant hook (Multi, Interleave). *)
+   [Exec.run]'s invariant hook (Multi, the workload engine). *)
 let storage_clean store =
   let buffer = Store.buffer store in
   let pinned = Buffer_manager.pinned_count buffer in
@@ -215,12 +214,13 @@ let check_built ~doc ~store ~import case =
   guarded "multi" (fun () ->
       let r = Multi.run ~config ~cold:true store [ case.path ] in
       ids_of r.Multi.per_path.(0));
-  guarded "interleave" (fun () ->
-      let r =
-        Interleave.run ~config ~cold:true store
-          [ (case.path, Plan.xschedule ~speculative:case.speculative ()) ]
+  guarded "workload" (fun () ->
+      let plan = Plan.xschedule ~speculative:case.speculative () in
+      let spec =
+        { Workload.label = "workload"; path = case.path; plan; timeout = None; ops = [] }
       in
-      ids_of r.Interleave.queries.(0).Interleave.nodes);
+      let r = Workload.run ~config ~cold:true store [ spec ] in
+      ids_of (List.hd r.Workload.jobs).Workload.nodes);
   List.rev !mismatches
 
 let check_case case =
@@ -459,11 +459,13 @@ let check_writers_built ~doc ~import case =
           ops = sample_ops prng import tags;
         })
   in
+  (* The index reader seeds from the path partition and touches no
+     cluster when its plan covers the path. *)
   let readers =
     List.map
       (fun (name, plan) ->
         { Workload.label = name; path = case.path; plan; timeout = None; ops = [] })
-      (plans_for case)
+      (plans_for case @ [ ("xindex", Plan.xindex ()) ])
   in
   let clients = Array.of_list (List.map (fun s -> [ s ]) (readers @ writers)) in
   (match Workload.run_clients ~config ~cold:true store clients with

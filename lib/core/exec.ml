@@ -406,6 +406,7 @@ let prepare ?config ?contexts ?trace store path plan =
 
 let stream_next stream = stream.next ()
 let stream_fell_back stream = Context.fallback stream.stream_ctx
+let stream_indexed stream = stream.stream_index <> None
 let stream_abandon stream = stream.stream_abandon ()
 let stream_ctx stream = stream.stream_ctx
 

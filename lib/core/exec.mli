@@ -116,8 +116,9 @@ val run :
 
 type stream
 (** A prepared, lazily evaluated plan: results are pulled one at a time.
-    Streams make interleaved (concurrent) execution possible — see
-    {!Interleave}. *)
+    Streams make interleaved (concurrent) execution possible — the
+    workload engine ([Xnav_workload.Workload]) rotates many of them over
+    one buffer pool. *)
 
 val prepare :
   ?config:Context.config ->
@@ -139,6 +140,13 @@ val stream_next : stream -> Xnav_store.Store.info option
     deduplicates at the end). [None] is final. *)
 
 val stream_fell_back : stream -> bool
+
+val stream_indexed : stream -> bool
+(** Whether the stream seeds from the path partition (an index plan
+    that did not degrade to the schedule shape). Its seeds come from the
+    partition's entry lists, not from page reads, so its answer depends
+    on every mutation after {!prepare}, not only on the clusters it
+    touches. *)
 
 val stream_ctx : stream -> Context.t
 (** The stream's execution context — counters (including the

@@ -1,27 +1,27 @@
 (** Sharded multi-document tenancy: K independent storage stacks under
-    one two-level scheduler.
+    one scheduler.
 
-    The {!Workload} engine multiplexes N queries over {e one}
-    [Disk]/[Io_scheduler]/[Buffer_manager] stack. This module scales the
-    session layer out: a shard manager owns [K] such stacks ({e shards}),
+    A shard manager owns [K] disk/scheduler/buffer stacks ({e shards}),
     places each {e tenant} document on a shard by a stable hash of its
     name ({!stable_shard} — placement survives process restarts and
-    tenant-list reorderings), and routes client jobs through a
-    {e two-level cost-credit scheduler}:
+    tenant-list reorderings), and runs client jobs on the {!Workload}
+    engine: the shards are the engine's pools and the tenants' stores
+    its sites ({!Workload.run_sites}). This module is placement plus the
+    per-tenant and per-shard bookkeeping; scheduling is the engine's:
 
-    - {e Level 1 — per-shard}: within a shard, lanes rotate round-robin
-      with the same cost-credit quantum, random-I/O yield and
-      cheap-demand {e boost} the single-pool engine uses, so intra-shard
-      contention still becomes cross-query batching.
-    - {e Level 2 — global balancer}: each engine turn picks the shard to
-      serve, round-robin over shards with runnable lanes, under a
-      {e cross-tenant fairness gate}: every tenant's {e pressure} (global
-      turns since it was last served or admitted) is tracked, and when
-      the worst pressure exceeds [2 * active_lanes + 4] turns the gate
-      overrides the balancer and serves that tenant's lane directly
-      (counted in {!type-result.rebalance_moves}). A co-located tenant
-      running scans can therefore delay a neighbour by at most one gate
-      window — no tenant's served/starved ratio collapses.
+    - {e Within a shard}, lanes rotate round-robin with the cost-credit
+      quantum, random-I/O yield and cheap-demand {e boost} of the
+      single-pool engine, so intra-shard contention still becomes
+      cross-query batching. Admission applies the single-pool pin-demand
+      bound per shard.
+    - {e Across shards}, the engine's balancer picks a shard per turn,
+      round-robin over shards with runnable lanes, under the
+      {e cross-tenant fairness gate}: when a tenant's pressure (turns
+      since it was last served or admitted) exceeds
+      [2 * active_lanes + 4] turns, the gate serves that tenant's lane
+      directly (counted in {!type-result.rebalance_moves}). A co-located
+      tenant running scans can therefore delay a neighbour by at most
+      one gate window — no tenant's served/starved ratio collapses.
 
     Shards are fully independent: separate simulated disks (and clocks),
     separate buffer pools, separate I/O schedulers. All latencies are
@@ -32,17 +32,15 @@
     scans recycle their own probationary pages instead of flushing a
     co-located tenant's hot set.
 
+    Both levels of the repeat-traffic front door are per tenant. Result
+    cache entries key on the tenant store's uid and content digest, so
+    co-located tenants never serve each other's answers; shared-scan
+    dedup attaches a follower only to an in-flight leader of the same
+    tenant, so a follower's fairness credits stay with its own tenant.
+
     Jobs are {e read-only}: writer specs are rejected — online updates
     go through {!Workload.run_clients} on the owning tenant's store,
-    where the latch/snapshot machinery lives. The level-1 repeat-traffic
-    front door ({!Xnav_core.Result_cache} consultation at admission and
-    answer installation at completion) is kept per tenant — entries key
-    on the tenant store's uid and content digest, so co-located tenants
-    can never serve each other's answers. Cross-client shared-scan
-    dedup (the single-pool engine's level 2) is {e not} offered here:
-    followers would couple lanes across the balancer's fairness
-    accounting, and the result cache already absorbs the repeat traffic
-    one turn later. *)
+    whose commit log is the serial replay of that one store. *)
 
 type t
 (** A shard topology: K storage stacks with tenant documents placed on
@@ -116,8 +114,8 @@ type shard_stat = {
 
 type result = {
   jobs : (string * Workload.job) list;
-      (** (tenant, job) in completion order. Writer fields are 0 and
-          [shared] is false (no followers in the sharded engine). *)
+      (** (tenant, job) in completion order. Writer fields are 0; a job's
+          [site] indexes the tenants in creation order. *)
   tenant_stats : tenant_stat list;  (** One per tenant, creation order. *)
   shard_stats : shard_stat list;  (** One per shard, id order. *)
   turns : int;  (** Global balancer turns. *)
@@ -130,8 +128,8 @@ type result = {
   page_reads : int;  (** Sum over shards. *)
   cache_hits : int;  (** Jobs answered from the result cache at admission. *)
   violations : string list;
-      (** Per-shard invariant sweep findings (prefixed with the shard
-          id); non-empty means an engine bug. *)
+      (** Per-shard invariant sweep findings (prefixed with the shard's
+          pool index, its id); non-empty means an engine bug. *)
 }
 
 val run_clients :
@@ -145,9 +143,7 @@ val run_clients :
 (** [run_clients t clients] runs one closed-loop client per array entry
     (as {!Workload.run_clients}): each client submits its next job the
     moment the previous finishes; jobs queue at their tenant's shard and
-    are admitted under the per-shard pin-demand bound
-    ([{!Workload.demand_frames} * (n+1) <= capacity], alone always
-    admissible). [quantum] is the per-turn cost credit in simulated
+    are admitted under the per-shard pin-demand bound. [quantum] is the per-turn cost credit in simulated
     seconds (default [0.004]); [cold] resets every shard's pool and disk
     clock first.
     @raise Invalid_argument on an empty client array, an unknown tenant,

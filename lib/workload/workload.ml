@@ -35,6 +35,7 @@ let status_to_string = function
 type job = {
   job_label : string;
   client : int;
+  site : int;
   status : status;
   nodes : Store.info list;
   count : int;
@@ -77,9 +78,32 @@ type result = {
   cluster_stales : int;
   commit_log : update_op list;
   violations : string list;
+  pool_turns : int array;
+  rebalance_moves : int;
 }
 
-type lane = {
+(* A pool is one storage stack: a buffer manager with its disk (and
+   clock) and its I/O scheduler, plus the engine's state for it: the
+   jobs queued for admission, the admitted lanes in rotation order, the
+   rotation cursor and the turns granted. A site is one store on a pool;
+   [tix] indexes the engine's site array. *)
+type pool = {
+  ix : int;
+  buffer : Buffer_manager.t;
+  disk : Disk.t;
+  sched : Io_scheduler.t;
+  disk_before : Disk.stats;
+  io_before : float;
+  waiting : (int * site * spec * float) Queue.t;
+  mutable active : lane list;
+  mutable rr : int;
+  mutable turns : int;
+}
+
+and site = { tix : int; store : Store.t; pool : pool }
+
+and lane = {
+  site : site;
   spec : spec;
   client : int;
   submitted_at : float;
@@ -142,43 +166,80 @@ let percentile xs p =
 
 let doc_order (a : Store.info) (b : Store.info) = Ordpath.compare a.ordpath b.ordpath
 
-let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients =
-  if Array.length clients = 0 then invalid_arg "Workload.run_clients: no clients";
-  let buffer = Store.buffer store in
-  let disk = Buffer_manager.disk buffer in
-  let sched = Buffer_manager.scheduler buffer in
-  if cold then begin
-    Buffer_manager.reset buffer;
-    Disk.reset_clock disk
-  end;
-  let disk_before = Disk.stats disk in
-  let io_before = Disk.elapsed disk in
+(* A partition-seeded stream takes its seeds from the path partition,
+   not from page reads, so its touch log cannot cover the writes that
+   would change them: it depends on every commit after its snapshot. *)
+let partition_seeded lane =
+  match lane.stream with Some s -> Exec.stream_indexed s | None -> false
+
+let run_sites ?config ?(quantum = 0.004) ?(ordered = true) ~cold ~pools:buffers stores clients =
+  if Array.length clients = 0 then invalid_arg "Workload.run_sites: no clients";
+  if cold then
+    Array.iter
+      (fun buffer ->
+        Buffer_manager.reset buffer;
+        Disk.reset_clock (Buffer_manager.disk buffer))
+      buffers;
+  let pools =
+    Array.mapi
+      (fun ix buffer ->
+        let disk = Buffer_manager.disk buffer in
+        {
+          ix;
+          buffer;
+          disk;
+          sched = Buffer_manager.scheduler buffer;
+          disk_before = Disk.stats disk;
+          io_before = Disk.elapsed disk;
+          waiting = Queue.create ();
+          active = [];
+          rr = 0;
+          turns = 0;
+        })
+      buffers
+  in
+  let sites =
+    Array.mapi
+      (fun tix store ->
+        match Array.find_opt (fun p -> p.buffer == Store.buffer store) pools with
+        | Some pool -> { tix; store; pool }
+        | None -> invalid_arg "Workload.run_sites: a site's store is on none of the pools")
+      stores
+  in
+  Array.iter
+    (List.iter (fun (s, _) ->
+         if s < 0 || s >= Array.length sites then invalid_arg "Workload.run_sites: unknown site"))
+    clients;
   let cpu_before = Sys.time () in
-  let now () = Disk.elapsed disk in
-  let capacity = Buffer_manager.capacity buffer in
+  let now pool = Disk.elapsed pool.disk in
   let cfg = match config with Some c -> c | None -> Context.default_config in
   (* The front door: both levels — result-cache consultation at admission
-     and cross-client shared-scan dedup — ride the one knob, so knob-off
+     and same-site shared-scan dedup — ride the one knob, so knob-off
      reproduces the historical engine exactly. *)
   let front_door = cfg.Context.result_cache in
 
   (* Closed-loop clients: each entry is the client's remaining jobs; a
-     client's next job is submitted the moment the previous finishes. *)
+     client's next job is submitted the moment the previous finishes and
+     queues at its site's pool. *)
   let remaining = Array.map (fun l -> ref l) clients in
-  let waiting = Queue.create () in
   let submit client =
     match !(remaining.(client)) with
     | [] -> ()
-    | spec :: rest ->
-      remaining.(client) <- ref rest;
-      Queue.add (client, spec, now ()) waiting
+    | (s, spec) :: rest ->
+      remaining.(client) := rest;
+      let site = sites.(s) in
+      Queue.add (client, site, spec, now site.pool) site.pool.waiting
   in
   Array.iteri (fun client _ -> submit client) clients;
 
-  let active = ref [] in
   let finished = ref [] in
   let max_concurrent = ref 0 in
   let turns = ref 0 in
+  let total_active () = Array.fold_left (fun a pool -> a + List.length pool.active) 0 pools in
+  (* Cross-site fairness state: the turn at which each site was last
+     served (or admitted a lane — arrival resets its aging). *)
+  let last_served = Array.make (Array.length sites) 0 in
+  let rebalance_moves = ref 0 in
 
   (* Writer state, engine-wide. [latches] maps a cluster pid to the
      client holding it exclusively; readers never consult it (they are
@@ -190,16 +251,17 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
   let commit_count = ref 0 in
   let commit_log = ref [] in
 
-  let make_lane ~client ~spec ~submitted_at ~stream =
+  let make_lane ~site ~client ~spec ~submitted_at ~stream =
     {
+      site;
       spec;
       client;
       submitted_at;
-      started_at = now ();
+      started_at = now site.pool;
       ctx =
         (match stream with
         | Some s -> Exec.stream_ctx s
-        | None -> Context.create ~config:cfg store);
+        | None -> Context.create ~config:cfg site.store);
       stream;
       followers = [];
       seen = Node_id.Tbl.create 64;
@@ -210,7 +272,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
       status = Completed;
       done_at = 0.0;
       touched = Hashtbl.create 16;
-      snapshot = Store.mutation_stamp store;
+      snapshot = Store.mutation_stamp site.store;
       retries = 0;
       carry_served = 0;
       carry_starved = 0;
@@ -222,7 +284,8 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
 
   (* Install a completed stream job's answer for the next identical
      statement. Streams always run from the root context, so every
-     completed job is cacheable. *)
+     completed job is cacheable. Entries key on the site store's uid and
+     content digest, so co-located sites never serve each other. *)
   let cache_fill lane =
     if front_door then begin
       let nodes = Vec.sorted_to_list doc_order lane.nodes in
@@ -230,27 +293,27 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
       let c = lane.ctx.Context.counters in
       c.Context.cache_misses <- 1;
       (* Cluster footprint for cluster-granular invalidation: every pid
-         the final stream observed. A partition-seeded run reads no
-         pages for its seeds, so its footprint understates its
-         dependencies — install those entries footprint-free (staled by
-         any mutation). *)
+         the final stream observed. A partition-seeded run's footprint
+         understates its dependencies — install those entries
+         footprint-free (staled by any mutation). *)
       let clusters =
-        if c.Context.index_entries > 0 then None
+        if partition_seeded lane then None
         else begin
           let pids = Hashtbl.fold (fun pid () acc -> pid :: acc) lane.touched [] in
           Some (Array.of_list (List.sort_uniq compare pids))
         end
       in
       c.Context.cache_evictions <-
-        Result_cache.add ?clusters store (Path.to_string lane.spec.path)
+        Result_cache.add ?clusters lane.site.store (Path.to_string lane.spec.path)
           ~count:(List.length nodes) nodes
     end
   in
 
   let finish lane status =
-    active := List.filter (fun l -> l != lane) !active;
+    let pool = lane.site.pool in
+    pool.active <- List.filter (fun l -> l != lane) pool.active;
     lane.status <- status;
-    lane.done_at <- now ();
+    lane.done_at <- now pool;
     lane.finish_commit <- !commit_count;
     lane.ctx.Context.counters.Context.snapshot_retries <- lane.retries;
     finished := lane :: !finished;
@@ -267,7 +330,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
              Vec.clear f.nodes;
              Vec.iter (Vec.push f.nodes) lane.nodes);
         f.status <- status;
-        f.done_at <- now ();
+        f.done_at <- now pool;
         f.finish_commit <- !commit_count;
         finished := f :: !finished;
         submit f.client)
@@ -276,82 +339,92 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     submit lane.client
   in
 
-  (* Shared-scan dedup (level 2): an identical statement already
-     in flight means this job's cluster demand is a subset of work the
-     pool is about to do anyway — attach it as a follower instead of
-     issuing a second scan. Deadline-carrying jobs keep their own lane
-     (a follower's fate is its leader's). *)
-  let find_leader spec =
+  (* Shared-scan dedup (level 2): an identical statement already in
+     flight on the same site means this job's cluster demand is a subset
+     of work the pool is about to do anyway — attach it as a follower
+     instead of issuing a second scan. A follower belongs to its
+     leader's site, so per-site fairness accounting stays exact.
+     Deadline-carrying jobs keep their own lane (a follower's fate is
+     its leader's). *)
+  let find_leader site spec =
     if (not front_door) || spec.timeout <> None then None
     else
       let key = Path.to_string spec.path in
       List.find_opt
         (fun l ->
-          l.stream <> None && l.spec.timeout = None && Path.to_string l.spec.path = key)
-        !active
+          l.site == site && l.stream <> None && l.spec.timeout = None
+          && Path.to_string l.spec.path = key)
+        site.pool.active
   in
 
-  let admit () =
+  let admit pool =
+    let capacity = Buffer_manager.capacity pool.buffer in
+    (* Alone is always admissible — the single-query engine makes
+       progress on any pool down to one frame (and recovers through the
+       fallback restart if it cannot). Company needs headroom. Writers
+       take a plain lane slot: their transient fix/unfix pattern fits
+       the same two-frame demand bound. *)
+    let admissible () =
+      let n = List.length pool.active in
+      n = 0 || demand_frames * (n + 1) <= capacity
+    in
+    let join lane =
+      pool.active <- pool.active @ [ lane ];
+      last_served.(lane.site.tix) <- max last_served.(lane.site.tix) !turns;
+      let n = total_active () in
+      if n > !max_concurrent then max_concurrent := n
+    in
     let stop = ref false in
-    while (not !stop) && not (Queue.is_empty waiting) do
-      let client, spec, submitted_at = Queue.peek waiting in
+    while (not !stop) && not (Queue.is_empty pool.waiting) do
+      let client, site, spec, submitted_at = Queue.peek pool.waiting in
       if spec.ops <> [] then begin
         (* Writer job: no front door (a writer produces no statement
-           answer to cache or share), a plain lane slot. Its transient
-           fix/unfix pattern fits the same two-frame demand bound. *)
-        let n = List.length !active in
-        if n = 0 || demand_frames * (n + 1) <= capacity then begin
-          ignore (Queue.pop waiting);
-          let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
-          active := !active @ [ lane ];
-          if List.length !active > !max_concurrent then max_concurrent := List.length !active
+           answer to cache or share). *)
+        if admissible () then begin
+          ignore (Queue.pop pool.waiting);
+          join (make_lane ~site ~client ~spec ~submitted_at ~stream:None)
         end
         else stop := true
       end
       else
-      match find_leader spec with
-      | Some leader ->
-        ignore (Queue.pop waiting);
-        let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
-        lane.ctx.Context.counters.Context.shared_demand <- 1;
-        leader.followers <- lane :: leader.followers
-      | None -> (
-        match
-          if front_door then Result_cache.find store (Path.to_string spec.path) else None
-        with
-        | Some entry ->
-          (* Level 1 hit: the job completes at admission, no lane slot,
-             no planning, no I/O. *)
-          ignore (Queue.pop waiting);
-          let lane = make_lane ~client ~spec ~submitted_at ~stream:None in
-          lane.ctx.Context.counters.Context.cache_hits <- 1;
-          lane.sorted <- Some (Result_cache.nodes entry);
-          lane.done_at <- now ();
-          lane.finish_commit <- !commit_count;
-          finished := lane :: !finished;
-          submit lane.client
-        | None ->
-          let n = List.length !active in
-          (* Alone is always admissible — the single-query engine makes
-             progress on any pool down to one frame (and recovers through
-             the fallback restart if it cannot). Company needs headroom. *)
-          if n = 0 || demand_frames * (n + 1) <= capacity then begin
-            ignore (Queue.pop waiting);
-            let stream = Exec.prepare ?config store spec.path spec.plan in
-            let lane = make_lane ~client ~spec ~submitted_at ~stream:(Some stream) in
-            active := !active @ [ lane ];
-            if List.length !active > !max_concurrent then max_concurrent := List.length !active
-          end
-          else stop := true)
+        match find_leader site spec with
+        | Some leader ->
+          ignore (Queue.pop pool.waiting);
+          let lane = make_lane ~site ~client ~spec ~submitted_at ~stream:None in
+          lane.ctx.Context.counters.Context.shared_demand <- 1;
+          leader.followers <- lane :: leader.followers
+        | None -> (
+          match
+            if front_door then Result_cache.find site.store (Path.to_string spec.path) else None
+          with
+          | Some entry ->
+            (* Level 1 hit: the job completes at admission, no lane slot,
+               no planning, no I/O. *)
+            ignore (Queue.pop pool.waiting);
+            let lane = make_lane ~site ~client ~spec ~submitted_at ~stream:None in
+            lane.ctx.Context.counters.Context.cache_hits <- 1;
+            lane.sorted <- Some (Result_cache.nodes entry);
+            lane.done_at <- now pool;
+            lane.finish_commit <- !commit_count;
+            finished := lane :: !finished;
+            submit lane.client
+          | None ->
+            if admissible () then begin
+              ignore (Queue.pop pool.waiting);
+              let stream = Exec.prepare ?config site.store spec.path spec.plan in
+              join (make_lane ~site ~client ~spec ~submitted_at ~stream:(Some stream))
+            end
+            else stop := true)
     done
   in
 
   (* A query is boosted when some cluster it has queued demand for is
-     already cheap: resident in the shared pool, inside another query's
-     open scan window, or part of a coalescible pending run. Serving it
-     now converts another query's work (or the scheduler's batching) into
-     this query's progress — the cross-query coalescing of the tentpole. *)
-  let boosted all lane =
+     already cheap: resident in its pool, inside another query's open
+     scan window, or part of a coalescible pending run. Serving it now
+     converts another query's work (or the scheduler's batching) into
+     this query's progress — the cross-query coalescing of the paper's
+     outlook. *)
+  let boosted pool lane =
     match lane.stream with
     | None -> false
     | Some stream -> (
@@ -362,11 +435,12 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
           List.filter_map
             (fun l ->
               if l == lane then None else Option.bind l.stream Exec.stream_scan_window)
-            all
+            pool.active
         in
+        let sched = pool.sched in
         List.exists
           (fun pid ->
-            Buffer_manager.resident buffer pid
+            Buffer_manager.resident pool.buffer pid
             || (Io_scheduler.is_pending sched pid
                && (Io_scheduler.is_pending sched (pid - 1) || Io_scheduler.is_pending sched (pid + 1)))
             || List.exists (fun (lo, hi) -> pid >= lo && pid <= hi) windows)
@@ -382,11 +456,13 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
   let step_cap = 256 in
 
   (* Snapshot rule: a stream is valid while no writer has committed into
-     a cluster the stream has already observed ([touched]). Commits are
-     atomic within a writer's turn, so checking once at the top of each
-     reader turn suffices — the stream cannot observe a half-applied
-     op. On conflict the stream restarts from scratch under a fresh
-     stamp; fairness credits of the abandoned attempt are carried. *)
+     a cluster the stream has already observed ([touched]), or — for a
+     partition-seeded stream — while no writer has committed at all.
+     Commits are atomic within a writer's turn, so checking once at the
+     top of each reader turn suffices — the stream cannot observe a
+     half-applied op. On conflict the stream restarts from scratch under
+     a fresh stamp; fairness credits of the abandoned attempt are
+     carried. *)
   let restart lane stream =
     Exec.stream_abandon stream;
     let c = lane.ctx.Context.counters in
@@ -396,6 +472,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     Vec.clear lane.nodes;
     Hashtbl.reset lane.touched;
     lane.retries <- lane.retries + 1;
+    let store = lane.site.store in
     let s = Exec.prepare ?config store lane.spec.path lane.spec.plan in
     lane.stream <- Some s;
     lane.ctx <- Exec.stream_ctx s;
@@ -403,11 +480,14 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
   in
 
   let serve_reader lane stream =
+    let store = lane.site.store and pool = lane.site.pool in
     let saved = Store.swap_touch_log store (Some lane.touched) in
     let conflicted =
-      Hashtbl.fold
-        (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
-        lane.touched false
+      Store.mutation_stamp store > lane.snapshot
+      && (partition_seeded lane
+         || Hashtbl.fold
+              (fun pid () acc -> acc || Store.page_stamp store pid > lane.snapshot)
+              lane.touched false)
     in
     let stream =
       if not conflicted then Some stream
@@ -421,11 +501,11 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     (match stream with
     | None -> ()
     | Some stream ->
-      let start = now () in
+      let start = now pool in
       let steps = ref 0 in
       let running = ref true in
       while !running do
-        let rnd0 = (Disk.stats disk).Disk.random_reads in
+        let rnd0 = (Disk.stats pool.disk).Disk.random_reads in
         match Exec.stream_next stream with
         | None ->
           finish lane Completed;
@@ -436,11 +516,11 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
             Node_id.Tbl.replace lane.seen info.Store.id ();
             Vec.push lane.nodes info
           end;
-          if (Disk.stats disk).Disk.random_reads > rnd0 then begin
+          if (Disk.stats pool.disk).Disk.random_reads > rnd0 then begin
             lane.yields <- lane.yields + 1;
             running := false
           end
-          else if now () -. start >= quantum || !steps >= step_cap then running := false
+          else if now pool -. start >= quantum || !steps >= step_cap then running := false
         | exception Buffer_manager.Buffer_full ->
           (* The pool is exhausted under contention (or this lane wedged
              post-fallback). Unwind its async state and recompute the
@@ -469,7 +549,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     | Insert_child { parent; _ } -> [ parent.Node_id.pid ]
     | Delete_subtree victim -> [ victim.Node_id.pid ]
   in
-  let op_valid op =
+  let op_valid store op =
     match op with
     | Insert_child { parent; _ } -> (
       match Store.read store parent with
@@ -481,6 +561,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
       | _ | (exception Failure _) | (exception Invalid_argument _) -> false)
   in
   let serve_writer lane =
+    let store = lane.site.store in
     let c = lane.ctx.Context.counters in
     match lane.armed with
     | Some (op, held) ->
@@ -524,7 +605,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
         if blocked then c.Context.latch_waits <- c.Context.latch_waits + 1
         else begin
           List.iter (fun pid -> Hashtbl.replace latches pid lane.client) targets;
-          match op_valid op with
+          match op_valid store op with
           | true ->
             lane.armed <- Some (op, targets);
             lane.pending_ops <- rest
@@ -545,106 +626,152 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     else match lane.stream with None -> () | Some stream -> serve_reader lane stream
   in
 
-  let rr = ref 0 in
-  while !active <> [] || not (Queue.is_empty waiting) do
-    admit ();
-    (* Deadlines, on the simulated clock, before the turn is given out:
-       a timed-out query unwinds through abort_async and its client moves
-       on to its next job. *)
-    let t = now () in
-    List.iter
-      (fun lane ->
-        match (lane.spec.timeout, lane.stream) with
-        | Some dt, Some stream when t -. lane.started_at >= dt ->
-          Exec.stream_abandon stream;
-          finish lane Timed_out
-        | _ -> ())
-      !active;
-    match !active with
+  let credit l =
+    let c = l.ctx.Context.counters in
+    c.Context.served_ticks <- c.Context.served_ticks + 1
+  in
+  let starve l =
+    let c = l.ctx.Context.counters in
+    c.Context.starved_ticks <- c.Context.starved_ticks + 1
+  in
+  let busy pool = pool.active <> [] || not (Queue.is_empty pool.waiting) in
+  let grr = ref 0 in
+  while Array.exists busy pools do
+    Array.iter admit pools;
+    (* Deadlines, each on its pool's simulated clock, before the turn is
+       given out: a timed-out query unwinds through abort_async and its
+       client moves on to its next job. *)
+    Array.iter
+      (fun pool ->
+        let t = now pool in
+        List.iter
+          (fun lane ->
+            match (lane.spec.timeout, lane.stream) with
+            | Some dt, Some stream when t -. lane.started_at >= dt ->
+              Exec.stream_abandon stream;
+              finish lane Timed_out
+            | _ -> ())
+          pool.active)
+      pools;
+    match List.filter (fun pool -> pool.active <> []) (Array.to_list pools) with
     | [] -> ()
-    | lanes ->
+    | runnable ->
       incr turns;
-      let n = List.length lanes in
-      let k = !rr mod n in
-      incr rr;
+      (* The balancer: round-robin over the pools with runnable lanes —
+         unless a site's pressure (turns unserved) exceeds the gate, in
+         which case that site is served directly wherever it lives. The
+         window scales with the load: under n active lanes a fair
+         rotation serves each about every n turns, so 2n + 4 flags a
+         genuinely starved site, not a slow rotation. With one site the
+         gate never fires: its pressure is 1 at every pick. *)
+      let default_pool = List.nth runnable (!grr mod List.length runnable) in
+      incr grr;
+      let threshold = (2 * total_active ()) + 4 in
+      let worst = ref None in
+      Array.iter
+        (fun pool ->
+          List.iter
+            (fun l ->
+              let p = !turns - last_served.(l.site.tix) in
+              match !worst with
+              | Some (wp, ws) when wp > p || (wp = p && ws.tix <= l.site.tix) -> ()
+              | _ -> worst := Some (p, l.site))
+            pool.active)
+        pools;
+      let focus = match !worst with Some (p, site) when p > threshold -> Some site | _ -> None in
+      let pool = match focus with Some site -> site.pool | None -> default_pool in
+      pool.turns <- pool.turns + 1;
+      (* Within the pool: round-robin rotation with the cheap-demand
+         boost override. *)
+      let lanes = pool.active in
+      let k = pool.rr mod List.length lanes in
+      pool.rr <- pool.rr + 1;
       let rotated = List.filteri (fun i _ -> i >= k) lanes @ List.filteri (fun i _ -> i < k) lanes in
       let head = List.hd rotated in
-      let lane =
-        match List.filter (boosted lanes) rotated with
-        | [] -> head
-        | b :: _ ->
-          if b != head then b.boosts <- b.boosts + 1;
-          b
+      let default_pick = match List.filter (boosted pool) rotated with [] -> head | b :: _ -> b in
+      let pick =
+        match focus with
+        | Some site ->
+          let l = List.find (fun l -> l.site == site) rotated in
+          if l != default_pick then incr rebalance_moves;
+          l
+        | None -> default_pick
       in
-      let credit l = l.ctx.Context.counters.Context.served_ticks <-
-        l.ctx.Context.counters.Context.served_ticks + 1
-      in
-      credit lane;
+      if pick != head && pick == default_pick then pick.boosts <- pick.boosts + 1;
+      credit pick;
       (* Fairness credits are charged to every sharer: a follower is
          being served whenever its leader's scan advances. *)
-      List.iter credit lane.followers;
-      List.iter
-        (fun l ->
-          if l != lane then begin
-            let c = l.ctx.Context.counters in
-            c.Context.starved_ticks <- c.Context.starved_ticks + 1
-          end)
-        lanes;
-      serve lane
+      List.iter credit pick.followers;
+      last_served.(pick.site.tix) <- !turns;
+      (* Starvation is engine-wide: every other runnable lane, in any
+         pool, waited this turn — that makes served/starved ratios
+         comparable across sites, which is what the gate protects. *)
+      Array.iter (fun pool -> List.iter (fun l -> if l != pick then starve l) pool.active) pools;
+      serve pick
   done;
 
-  (* The pool is quiescent now: recompute abandoned queries serially with
-     the Simple plan (the paper's fallback answer path). The recompute's
-     simulated time is charged to the job's latency. With the front door
-     on, a recovered leader's recompute installs its answer and its
-     recovered followers hit the cache immediately after. *)
+  (* The pools are quiescent now: recompute abandoned queries serially
+     with the Simple plan (the paper's fallback answer path). The
+     recompute's simulated time, on the job's pool clock, is charged to
+     its latency. With the front door on, a recovered leader's recompute
+     installs its answer and its recovered followers hit the cache
+     immediately after. *)
   List.iter
     (fun lane ->
       if lane.status = Recovered then begin
-        let io0 = now () in
-        let r = Exec.run ?config ~ordered:false store lane.spec.path Plan.simple in
+        let pool = lane.site.pool in
+        let io0 = now pool in
+        let r = Exec.run ?config ~ordered:false lane.site.store lane.spec.path Plan.simple in
         Vec.clear lane.nodes;
         List.iter (Vec.push lane.nodes) r.Exec.nodes;
         lane.finish_commit <- !commit_count;
-        lane.done_at <- lane.done_at +. (now () -. io0)
+        lane.done_at <- lane.done_at +. (now pool -. io0)
       end)
     (List.rev !finished);
 
-  let pinned = Buffer_manager.pinned_count buffer in
-  if pinned <> 0 then failwith (Printf.sprintf "Workload.run_clients: %d pages left pinned" pinned);
+  Array.iter
+    (fun pool ->
+      let pinned = Buffer_manager.pinned_count pool.buffer in
+      if pinned <> 0 then
+        failwith (Printf.sprintf "Workload: pool %d left %d pages pinned" pool.ix pinned))
+    pools;
   let violations =
     let v = ref [] in
     let fail fmt = Printf.ksprintf (fun msg -> v := msg :: !v) fmt in
-    let pending = Io_scheduler.pending_count sched in
-    if pending <> 0 then fail "io-scheduler: %d requests still pending after the workload" pending;
-    let completed = Buffer_manager.completed_count buffer in
-    if completed <> 0 then fail "buffer: %d batch-installed pages never delivered" completed;
-    (match Buffer_manager.consistency_error buffer with
-    | None -> ()
-    | Some msg -> fail "io-scheduler: %s" msg);
+    Array.iter
+      (fun pool ->
+        let pending = Io_scheduler.pending_count pool.sched in
+        if pending <> 0 then
+          fail "pool %d: %d requests still pending after the workload" pool.ix pending;
+        let completed = Buffer_manager.completed_count pool.buffer in
+        if completed <> 0 then
+          fail "pool %d: %d batch-installed pages never delivered" pool.ix completed;
+        match Buffer_manager.consistency_error pool.buffer with
+        | None -> ()
+        | Some msg -> fail "pool %d: %s" pool.ix msg)
+      pools;
     if Hashtbl.length latches <> 0 then
       fail "writers: %d cluster latches still held after the workload" (Hashtbl.length latches);
-    let validate =
-      match config with Some c -> c.Context.validate | None -> Context.default_config.Context.validate
-    in
-    if validate then
+    if cfg.Context.validate then
       List.iter
         (fun lane ->
           match lane.stream with
           | None -> ()
           | Some stream ->
             List.iter
-              (fun msg -> fail "%s [%s]" msg lane.spec.label)
+              (fun msg -> fail "%s [site %d/%s]" msg lane.site.tix lane.spec.label)
               (Exec.stream_violations stream))
         !finished;
     List.rev !v
   in
-  if violations <> [] && (match config with Some c -> c.Context.validate | None -> false) then
+  if violations <> [] && cfg.Context.validate then
     failwith (Printf.sprintf "Workload invariant violation: %s" (String.concat "; " violations));
 
   let cpu_time = Sys.time () -. cpu_before in
-  let io_time = Disk.elapsed disk -. io_before in
-  let disk_after = Disk.stats disk in
+  let io_time = Array.fold_left (fun a pool -> a +. (now pool -. pool.io_before)) 0.0 pools in
+  let disk_delta f =
+    Array.fold_left (fun a pool -> a + f (Disk.stats pool.disk) - f pool.disk_before) 0 pools
+  in
   let to_job lane =
     let nodes =
       if lane.status = Timed_out then []
@@ -658,6 +785,7 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     {
       job_label = lane.spec.label;
       client = lane.client;
+      site = lane.site.tix;
       status = lane.status;
       nodes;
       count = List.length nodes;
@@ -680,37 +808,35 @@ let run_clients ?config ?(quantum = 0.004) ?(ordered = true) ~cold store clients
     }
   in
   let jobs = List.rev_map to_job !finished in
+  let sum f = List.fold_left (fun a lane -> a + f lane.ctx.Context.counters) 0 !finished in
   {
     jobs;
     io_time;
     cpu_time;
     total_time = io_time +. cpu_time;
-    page_reads = disk_after.Disk.reads - disk_before.Disk.reads;
-    seek_distance = disk_after.Disk.seek_distance - disk_before.Disk.seek_distance;
-    batched_reads = disk_after.Disk.batched_reads - disk_before.Disk.batched_reads;
-    batch_pages = disk_after.Disk.batch_pages - disk_before.Disk.batch_pages;
-    coalesce_runs = disk_after.Disk.coalesce_runs - disk_before.Disk.coalesce_runs;
+    page_reads = disk_delta (fun s -> s.Disk.reads);
+    seek_distance = disk_delta (fun s -> s.Disk.seek_distance);
+    batched_reads = disk_delta (fun s -> s.Disk.batched_reads);
+    batch_pages = disk_delta (fun s -> s.Disk.batch_pages);
+    coalesce_runs = disk_delta (fun s -> s.Disk.coalesce_runs);
     max_concurrent = !max_concurrent;
     turns = !turns;
     shared_jobs = List.length (List.filter (fun j -> j.shared) jobs);
     cache_hits = List.length (List.filter (fun j -> j.cache_hit) jobs);
-    cache_misses =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.cache_misses)
-        0 !finished;
+    cache_misses = sum (fun c -> c.Context.cache_misses);
     writer_commits = !commit_count;
-    latch_waits =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.latch_waits)
-        0 !finished;
+    latch_waits = sum (fun c -> c.Context.latch_waits);
     snapshot_retries = List.fold_left (fun a lane -> a + lane.retries) 0 !finished;
-    cluster_stales =
-      List.fold_left
-        (fun a lane -> a + lane.ctx.Context.counters.Context.cluster_stales)
-        0 !finished;
+    cluster_stales = sum (fun c -> c.Context.cluster_stales);
     commit_log = List.rev !commit_log;
     violations;
+    pool_turns = Array.map (fun pool -> pool.turns) pools;
+    rebalance_moves = !rebalance_moves;
   }
+
+let run_clients ?config ?quantum ?ordered ~cold store clients =
+  run_sites ?config ?quantum ?ordered ~cold ~pools:[| Store.buffer store |] [| store |]
+    (Array.map (List.map (fun spec -> (0, spec))) clients)
 
 let run ?config ?quantum ?ordered ~cold store specs =
   if specs = [] then invalid_arg "Workload.run: no queries";

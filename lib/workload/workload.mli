@@ -1,32 +1,55 @@
 (** Concurrent multi-query workload engine.
 
     The session layer the paper's outlook anticipates: N queries admitted
-    over {e one} shared {!Xnav_storage.Buffer_manager} /
-    {!Xnav_storage.Io_scheduler}, their XSchedule/XScan/Simple iterators
-    interleaved by a round-robin-with-cost-credit scheduler. Concurrent
-    queries' cluster requests merge in the scheduler's pending set, so
-    demand from different queries coalesces into the same sequential runs
-    a single XSchedule already exploits — contention becomes sharing.
+    over shared {!Xnav_storage.Buffer_manager} /
+    {!Xnav_storage.Io_scheduler} stacks, their XSchedule/XScan/Simple
+    iterators interleaved by a round-robin-with-cost-credit scheduler.
+    Concurrent queries' cluster requests merge in the scheduler's pending
+    set, so demand from different queries coalesces into the same
+    sequential runs a single XSchedule already exploits — contention
+    becomes sharing.
+
+    {2 Pools and sites}
+
+    This module is the one lane engine. A {e pool} is one storage stack:
+    a buffer manager with its disk (and simulated clock) and its I/O
+    scheduler. A {e site} is one store attached to a pool; several sites
+    may share a pool. {!run_sites} runs clients whose jobs address sites
+    over any number of pools; {!run_clients} is the engine with one pool
+    and one site, and {!Shard} is a thin caller that passes its shards'
+    pools and its tenants' stores. Each pool has its own admission
+    queue, rotation and clock; the engine picks a pool per turn (see
+    {e Scheduling}), so pools stay independent stacks under one
+    scheduler.
 
     {2 Scheduling}
 
-    Each turn serves one query for a {e cost credit} (the [quantum],
-    in simulated disk seconds): the query runs until its credit is spent,
-    until it triggers a random I/O (the expensive event the paper's cost
-    model penalises — the query yields immediately so cheaper work can
-    run while the head is repositioned), or until it finishes. Queries
-    whose queued demand is already cheap to serve — a demanded cluster is
-    resident, falls inside another query's open scan window, or sits in a
-    coalescible pending run ([pid±1] also pending) — are {e boosted}
-    ahead of plain round-robin order, which is what turns cross-query
-    contention into cross-query batching. Fairness is observable: the
-    chosen query's {!Xnav_core.Context.counters.served_ticks} and every
-    other runnable query's [starved_ticks] advance each turn.
+    Each turn first picks a pool: round-robin over the pools with
+    admitted lanes, under a {e cross-site fairness gate}. Every site's
+    {e pressure} (turns since it was last served or admitted a lane) is
+    tracked, and when the worst pressure exceeds [2 * active_lanes + 4]
+    turns the gate serves that site's lane directly (counted in
+    {!type-result.rebalance_moves}). With one site the gate never fires:
+    the site's pressure is 1 at every pick.
+
+    Within the pool, the turn serves one query for a {e cost credit}
+    (the [quantum], in simulated disk seconds): the query runs until its
+    credit is spent, until it triggers a random I/O (the expensive event
+    the paper's cost model penalises — the query yields immediately so
+    cheaper work can run while the head is repositioned), or until it
+    finishes. Queries whose queued demand is already cheap to serve — a
+    demanded cluster is resident in the pool, falls inside another
+    query's open scan window, or sits in a coalescible pending run
+    ([pid±1] also pending) — are {e boosted} ahead of plain round-robin
+    order, which is what turns cross-query contention into cross-query
+    batching. Fairness is observable: the chosen query's
+    {!Xnav_core.Context.counters.served_ticks} and every other runnable
+    query's (in any pool) [starved_ticks] advance each turn.
 
     {2 Admission}
 
-    A query is only admitted while its worst-case steady pin demand
-    cannot wedge the pool (generalising the capacity-1
+    Admission is per pool. A query is only admitted while its worst-case
+    steady pin demand cannot wedge its pool (generalising the capacity-1
     release-before-acquire fix): every plan holds at most one steady pin
     (XSchedule's current cluster; Simple/XScan navigation pins are
     transient) plus one frame of headroom for the page being entered, so
@@ -47,14 +70,17 @@
     {e Level 1}: admission consults the process-wide
     {!Xnav_core.Result_cache} — a hit completes the job instantly (no
     lane, no planning, no I/O), and every completed stream job installs
-    its answer for the next identical statement. {e Level 2}: if an
-    identical statement is already in flight, the new job's pending
+    its answer for the next identical statement. Entries key on the
+    site store's uid and content digest, so co-located sites never serve
+    each other's answers. {e Level 2}: if an identical statement is
+    already in flight {e on the same site}, the new job's pending
     cluster demand would duplicate work the pool is about to do anyway —
     it attaches as a {e follower} of the in-flight {e leader} lane and
     receives the leader's answer the instant the shared scan completes.
-    Followers pin nothing and bypass admission; fairness credits
-    ([served_ticks]) are charged to all sharers each time the leader is
-    served, and each deduped job reports
+    A follower belongs to its leader's site, so per-site fairness
+    accounting is unaffected. Followers pin nothing and bypass
+    admission; fairness credits ([served_ticks]) are charged to all
+    sharers each time the leader is served, and each deduped job reports
     {!Xnav_core.Context.counters.shared_demand}. Jobs with a [timeout]
     never share (a follower's fate is its leader's). With the knob off
     (the default) both levels are inert and the engine reproduces the
@@ -82,7 +108,10 @@
       ({!Xnav_store.Store.page_stamp} exceeding the snapshot) forces the
       stream to restart from scratch under a fresh stamp
       ([snapshot_retries]). Commits it never observed are invisible to
-      it — a running query always sees a single consistent snapshot.
+      it — a running query always sees a single consistent snapshot. A
+      stream seeded from the path partition
+      ({!Xnav_core.Exec.stream_indexed}) reads its seeds from no page,
+      so it restarts on {e any} commit after its snapshot.
     - {e Cluster-granular invalidation}: a commit stales only the
       result-cache entries whose recorded cluster footprint intersects
       its write set ({!Xnav_core.Result_cache.stale_clusters}, counted
@@ -96,12 +125,14 @@
     ops in serial order — together they make the concurrent schedule
     replayable: evaluating each reader's statement on a twin store after
     applying the first [finish_commit] ops must reproduce its answer.
+    The log carries no site, so writers belong on single-site runs
+    ({!Shard} rejects them).
 
     {2 Clocks}
 
     All latencies ([submitted]/[started]/[finished], and the derived
-    [latency] and [pin_wait]) are measured on the simulated disk clock —
-    deterministic, so percentiles are CI-stable. Process CPU time is
+    [latency] and [pin_wait]) are measured on the simulated clock of the
+    job's pool — deterministic, so percentiles are CI-stable. Process CPU time is
     reported separately at the engine level. *)
 
 type update_op =
@@ -138,6 +169,7 @@ val status_to_string : status -> string
 type job = {
   job_label : string;
   client : int;
+  site : int;  (** Index of the site the job ran on ([0] under {!run_clients}). *)
   status : status;
   nodes : Xnav_store.Store.info list;  (** Duplicate-free; document order if [ordered]. *)
   count : int;
@@ -198,6 +230,10 @@ type result = {
           [config.validate] set the sweep additionally runs
           {!Xnav_core.Exec.stream_violations} per query and raises on any
           finding. *)
+  pool_turns : int array;  (** Turns granted to each pool, by pool index. *)
+  rebalance_moves : int;
+      (** Turns the cross-site fairness gate overrode the balancer's
+          pick (always 0 with one site). *)
 }
 
 val run_clients :
@@ -218,6 +254,25 @@ val run_clients :
     @raise Failure if any frame is left pinned at the end, or (with
     [config.validate]) on an invariant violation. *)
 
+val run_sites :
+  ?config:Xnav_core.Context.config ->
+  ?quantum:float ->
+  ?ordered:bool ->
+  cold:bool ->
+  pools:Xnav_storage.Buffer_manager.t array ->
+  Xnav_store.Store.t array ->
+  (int * spec) list array ->
+  result
+(** [run_sites ~pools sites clients] is the engine over several pools.
+    Each store in [sites] must be attached to one of [pools]; a client
+    job [(s, spec)] runs [spec] on [sites.(s)] and queues for admission
+    at that store's pool. Jobs report their site index, [pool_turns]
+    counts turns per pool, and the disk figures of the result are sums
+    over the pools. Arguments and clients behave as in {!run_clients};
+    [cold] resets every pool.
+    @raise Invalid_argument on an empty client array, a site index out
+    of range, or a store attached to none of the pools. *)
+
 val run :
   ?config:Xnav_core.Context.config ->
   ?quantum:float ->
@@ -232,8 +287,3 @@ val run :
 val percentile : float list -> float -> float
 (** [percentile xs p] with [p] in [0..100]: the nearest-rank percentile
     of [xs] (0 on an empty list). *)
-
-val demand_frames : int
-(** Worst-case steady pin demand per admitted query (one held frame plus
-    one frame of headroom — see {e Admission} above). Exposed so the
-    {!Shard} engine's per-shard admission applies the identical bound. *)

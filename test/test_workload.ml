@@ -222,6 +222,37 @@ let snapshot_conflict_restarts_reader () =
   check id_list "reader answer equals the post-commit serial answer" expected
     (ids_of rj.Workload.nodes)
 
+(* A covering index reader is seeded from the path partition and reads
+   no page, so no touch log covers a commit into its class: the engine
+   treats it as dependent on every commit after its snapshot. Admitted
+   before a writer inserts into its class, its answer must equal the
+   serial replay at its finish_commit. *)
+let covering_index_reader_replays_serially () =
+  (* 400 [b] children: more than one turn's step cap, so the reader is
+     still in flight when the writer commits on the third turn. *)
+  let tree = Gen.wide_tree ~children:2000 () in
+  let store, import = Gen.import_store ~payload:96 ~page_size:256 ~capacity:16 tree in
+  let twin, _ = Gen.import_store ~payload:96 ~page_size:256 ~capacity:16 tree in
+  let reader = spec "q-b" "/child::b" (Plan.xindex ()) in
+  let serial = Exec.cold_run ~config:validating store reader.Workload.path reader.Workload.plan in
+  check Alcotest.bool "the plan answers from the partition alone" true
+    (serial.Exec.metrics.Exec.index_entries > 0 && serial.Exec.metrics.Exec.page_reads = 0);
+  let root = import.Import.node_ids.(0) in
+  let writer =
+    spec ~ops:[ Workload.Insert_child { parent = root; tag = Tag.of_string "b" } ] "w"
+      "/child::*" Plan.simple
+  in
+  let r = Workload.run_clients ~config:validating ~cold:true store [| [ writer ]; [ reader ] |] in
+  check Alcotest.(list string) "no invariant violations" [] r.Workload.violations;
+  check Alcotest.int "writer committed" 1 r.Workload.writer_commits;
+  let rj = job_by_label r "q-b" in
+  check Alcotest.bool "the reader was admitted before the commit" true
+    (rj.Workload.started <= (job_by_label r "w").Workload.started);
+  check Alcotest.int "the reader finished after the commit" 1 rj.Workload.finish_commit;
+  replay twin r.Workload.commit_log;
+  check id_list "reader answer equals the serial replay at its finish_commit"
+    (serial_ids twin validating reader) (ids_of rj.Workload.nodes)
+
 (* Cluster-granular invalidation, end to end through the front door: a
    commit whose write set is disjoint from a cached statement's
    footprint leaves the entry serving hits; a commit into the footprint
@@ -400,6 +431,61 @@ let shard_front_door_is_per_tenant () =
   Result_cache.clear ();
   Result_cache.reset_stats ()
 
+(* One shard holding one tenant is the single-pool engine: job for job,
+   the sharded run reproduces Workload.run_clients on an identically
+   built store — ids, status, timestamps, fairness ticks, yields and
+   boosts. *)
+let one_shard_matches_single_pool () =
+  let tree = doc () in
+  let t = Shard.create ~capacity:16 ~page_size:256 ~payload:96 ~shards:1 [ ("solo", tree) ] in
+  let store = build ~capacity:16 tree in
+  let clients = [| mix (); List.rev (mix ()); [ List.hd (mix ()) ] |] in
+  let tjobs = Array.map (List.map (fun s -> { Shard.tenant = "solo"; spec = s })) clients in
+  let sharded = Shard.run_clients ~config:validating ~cold:true t tjobs in
+  let single = Workload.run_clients ~config:validating ~cold:true store clients in
+  let show (j : Workload.job) =
+    Format.asprintf "%s c%d %s %h/%h/%h served %d starved %d yields %d boosts %d %a"
+      j.Workload.job_label j.Workload.client
+      (Workload.status_to_string j.Workload.status)
+      j.Workload.submitted j.Workload.started j.Workload.finished j.Workload.served_ticks
+      j.Workload.starved_ticks j.Workload.yields j.Workload.boosts
+      (Fmt.Dump.list Node_id.pp) (ids_of j.Workload.nodes)
+  in
+  check Alcotest.(list string) "job for job"
+    (List.map show single.Workload.jobs)
+    (List.map (fun (_, j) -> show j) sharded.Shard.jobs);
+  check Alcotest.int "same turns" single.Workload.turns sharded.Shard.turns;
+  check Alcotest.int "the gate never fires with one tenant" 0 sharded.Shard.rebalance_moves
+
+(* Shared-scan dedup is per tenant: of two clients sending the same
+   statement to one tenant, one rides the other's scan, and both answers
+   equal a serial cold run; the identical statement sent to a
+   co-located tenant runs its own scan. *)
+let shard_dedup_is_per_tenant () =
+  let t = topology ~shards:1 () in
+  let caching = { validating with Context.result_cache = true } in
+  Result_cache.clear ();
+  let q = spec "q" "/child::*/child::x" (Plan.xschedule ()) in
+  let serial name = serial_ids (Shard.store t name) validating q in
+  let want_alpha = serial "alpha" and want_beta = serial "beta" in
+  let job tenant = [ { Shard.tenant; spec = q } ] in
+  let r =
+    Shard.run_clients ~config:caching ~cold:true t [| job "alpha"; job "alpha"; job "beta" |]
+  in
+  check Alcotest.(list string) "clean end" [] r.Shard.violations;
+  let mine name = List.filter_map (fun (n, j) -> if n = name then Some j else None) r.Shard.jobs in
+  let shared js = List.length (List.filter (fun (j : Workload.job) -> j.Workload.shared) js) in
+  check Alcotest.int "one alpha job rides the other's scan" 1 (shared (mine "alpha"));
+  List.iter
+    (fun (j : Workload.job) -> check id_list "alpha answer" want_alpha (ids_of j.Workload.nodes))
+    (mine "alpha");
+  check Alcotest.int "the co-located tenant is not shared" 0 (shared (mine "beta"));
+  List.iter
+    (fun (j : Workload.job) -> check id_list "beta answer" want_beta (ids_of j.Workload.nodes))
+    (mine "beta");
+  Result_cache.clear ();
+  Result_cache.reset_stats ()
+
 let percentiles_are_nearest_rank () =
   let xs = [ 4.0; 1.0; 3.0; 2.0; 5.0 ] in
   check (Alcotest.float 1e-9) "p50" 3.0 (Workload.percentile xs 50.0);
@@ -426,6 +512,8 @@ let suite =
           snapshot_conflict_restarts_reader;
         Alcotest.test_case "untouched paths keep hitting the cache across commits" `Quick
           untouched_paths_keep_hitting_across_commits;
+        Alcotest.test_case "a covering index reader replays serially" `Quick
+          covering_index_reader_replays_serially;
         Alcotest.test_case "latency percentiles use nearest rank" `Quick
           percentiles_are_nearest_rank;
       ] );
@@ -438,5 +526,8 @@ let suite =
         Alcotest.test_case "sharded mix equals serial per tenant and query" `Quick
           sharded_mix_equals_serial;
         Alcotest.test_case "the front door is per-tenant" `Quick shard_front_door_is_per_tenant;
+        Alcotest.test_case "one shard, one tenant is the single pool" `Quick
+          one_shard_matches_single_pool;
+        Alcotest.test_case "shared-scan dedup is per tenant" `Quick shard_dedup_is_per_tenant;
       ] );
   ]

@@ -22,6 +22,7 @@ module Xpath_parser = Xnav_xpath.Xpath_parser
 module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 module Context = Xnav_core.Context
+module Metric = Xnav_core.Metric
 module Result_cache = Xnav_core.Result_cache
 module Bench_schema = Xnav_core.Bench_schema
 module Xmark = Xnav_xmark.Gen
@@ -85,108 +86,12 @@ let run_query ?config store plan (q : Queries.t) =
         io +. r.Exec.metrics.Exec.io_time ))
     (0, 0., 0., 0.) q.Queries.paths
 
-(* Aggregation of full metric records across a query's paths: times and
-   event counters add, peaks take the maximum, [fell_back] is sticky. *)
-let zero_metrics =
-  {
-    Exec.io_time = 0.;
-    cpu_time = 0.;
-    total_time = 0.;
-    page_reads = 0;
-    sequential_reads = 0;
-    random_reads = 0;
-    seek_distance = 0;
-    buffer_lookups = 0;
-    buffer_hits = 0;
-    buffer_misses = 0;
-    async_reads = 0;
-    batched_reads = 0;
-    batch_pages = 0;
-    coalesce_runs = 0;
-    scan_windows = 0;
-    scan_window_pages = 0;
-    instances = 0;
-    crossings = 0;
-    specs_created = 0;
-    specs_stored = 0;
-    specs_resolved = 0;
-    s_peak = 0;
-    q_peak = 0;
-    q_enqueued = 0;
-    q_served = 0;
-    clusters_visited = 0;
-    swizzle_hits = 0;
-    swizzle_misses = 0;
-    index_entries = 0;
-    index_clusters = 0;
-    index_residuals = 0;
-    fused_transitions = 0;
-    fused_states = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
-    shared_demand = 0;
-    writer_commits = 0;
-    latch_waits = 0;
-    snapshot_retries = 0;
-    cluster_stales = 0;
-    scan_resist_hits = 0;
-    fell_back = false;
-  }
-
-let add_metrics (a : Exec.metrics) (b : Exec.metrics) =
-  {
-    Exec.io_time = a.Exec.io_time +. b.Exec.io_time;
-    cpu_time = a.Exec.cpu_time +. b.Exec.cpu_time;
-    total_time = a.Exec.total_time +. b.Exec.total_time;
-    page_reads = a.Exec.page_reads + b.Exec.page_reads;
-    sequential_reads = a.Exec.sequential_reads + b.Exec.sequential_reads;
-    random_reads = a.Exec.random_reads + b.Exec.random_reads;
-    seek_distance = a.Exec.seek_distance + b.Exec.seek_distance;
-    buffer_lookups = a.Exec.buffer_lookups + b.Exec.buffer_lookups;
-    buffer_hits = a.Exec.buffer_hits + b.Exec.buffer_hits;
-    buffer_misses = a.Exec.buffer_misses + b.Exec.buffer_misses;
-    async_reads = a.Exec.async_reads + b.Exec.async_reads;
-    batched_reads = a.Exec.batched_reads + b.Exec.batched_reads;
-    batch_pages = a.Exec.batch_pages + b.Exec.batch_pages;
-    coalesce_runs = a.Exec.coalesce_runs + b.Exec.coalesce_runs;
-    scan_windows = a.Exec.scan_windows + b.Exec.scan_windows;
-    scan_window_pages = a.Exec.scan_window_pages + b.Exec.scan_window_pages;
-    instances = a.Exec.instances + b.Exec.instances;
-    crossings = a.Exec.crossings + b.Exec.crossings;
-    specs_created = a.Exec.specs_created + b.Exec.specs_created;
-    specs_stored = a.Exec.specs_stored + b.Exec.specs_stored;
-    specs_resolved = a.Exec.specs_resolved + b.Exec.specs_resolved;
-    s_peak = max a.Exec.s_peak b.Exec.s_peak;
-    q_peak = max a.Exec.q_peak b.Exec.q_peak;
-    q_enqueued = a.Exec.q_enqueued + b.Exec.q_enqueued;
-    q_served = a.Exec.q_served + b.Exec.q_served;
-    clusters_visited = a.Exec.clusters_visited + b.Exec.clusters_visited;
-    swizzle_hits = a.Exec.swizzle_hits + b.Exec.swizzle_hits;
-    swizzle_misses = a.Exec.swizzle_misses + b.Exec.swizzle_misses;
-    index_entries = a.Exec.index_entries + b.Exec.index_entries;
-    index_clusters = a.Exec.index_clusters + b.Exec.index_clusters;
-    index_residuals = a.Exec.index_residuals + b.Exec.index_residuals;
-    fused_transitions = a.Exec.fused_transitions + b.Exec.fused_transitions;
-    fused_states = a.Exec.fused_states + b.Exec.fused_states;
-    cache_hits = a.Exec.cache_hits + b.Exec.cache_hits;
-    cache_misses = a.Exec.cache_misses + b.Exec.cache_misses;
-    cache_evictions = a.Exec.cache_evictions + b.Exec.cache_evictions;
-    shared_demand = a.Exec.shared_demand + b.Exec.shared_demand;
-    writer_commits = a.Exec.writer_commits + b.Exec.writer_commits;
-    latch_waits = a.Exec.latch_waits + b.Exec.latch_waits;
-    snapshot_retries = a.Exec.snapshot_retries + b.Exec.snapshot_retries;
-    cluster_stales = a.Exec.cluster_stales + b.Exec.cluster_stales;
-    scan_resist_hits = a.Exec.scan_resist_hits + b.Exec.scan_resist_hits;
-    fell_back = a.Exec.fell_back || b.Exec.fell_back;
-  }
-
 let run_query_full ?config store plan (q : Queries.t) =
   List.fold_left
     (fun (count, m) path ->
       let r = Exec.cold_run ?config ~ordered:false store path plan in
-      (count + r.Exec.count, add_metrics m r.Exec.metrics))
-    (0, zero_metrics) q.Queries.paths
+      (count + r.Exec.count, Metric.add m r.Exec.metrics))
+    (0, Metric.create ()) q.Queries.paths
 
 (* The CPU yardstick of a --json run: a fixed loop that calls no
    repository code and does what the engine's hot loops do — hash-table
@@ -537,7 +442,9 @@ let ablation_batching cfg =
               (fun q -> run_query_full ~config store (Plan.xschedule ~speculative:false ()) q)
               queries
           in
-          let agg = List.fold_left (fun acc (_, m) -> add_metrics acc m) zero_metrics results in
+          let agg =
+            List.fold_left (fun acc (_, m) -> Metric.add acc m) (Metric.create ()) results
+          in
           let io i =
             let _, m = List.nth results i in
             m.Exec.io_time
@@ -889,49 +796,8 @@ let check_json_shape s =
     raise (Malformed "unbalanced braces or unterminated string")
 
 let metrics_fields count (m : Exec.metrics) =
-  [
-    ("count", string_of_int count);
-    ("io_time", jfloat m.Exec.io_time);
-    ("cpu_time", jfloat m.Exec.cpu_time);
-    ("total_time", jfloat m.Exec.total_time);
-    ("page_reads", string_of_int m.Exec.page_reads);
-    ("sequential_reads", string_of_int m.Exec.sequential_reads);
-    ("random_reads", string_of_int m.Exec.random_reads);
-    ("seek_distance", string_of_int m.Exec.seek_distance);
-    ("buffer_lookups", string_of_int m.Exec.buffer_lookups);
-    ("buffer_hits", string_of_int m.Exec.buffer_hits);
-    ("buffer_misses", string_of_int m.Exec.buffer_misses);
-    ("async_reads", string_of_int m.Exec.async_reads);
-    ("batched_reads", string_of_int m.Exec.batched_reads);
-    ("batch_pages", string_of_int m.Exec.batch_pages);
-    ("coalesce_runs", string_of_int m.Exec.coalesce_runs);
-    ("scan_windows", string_of_int m.Exec.scan_windows);
-    ("scan_window_pages", string_of_int m.Exec.scan_window_pages);
-    ("instances", string_of_int m.Exec.instances);
-    ("crossings", string_of_int m.Exec.crossings);
-    ("specs_created", string_of_int m.Exec.specs_created);
-    ("specs_stored", string_of_int m.Exec.specs_stored);
-    ("specs_resolved", string_of_int m.Exec.specs_resolved);
-    ("s_peak", string_of_int m.Exec.s_peak);
-    ("q_peak", string_of_int m.Exec.q_peak);
-    ("q_enqueued", string_of_int m.Exec.q_enqueued);
-    ("q_served", string_of_int m.Exec.q_served);
-    ("clusters_visited", string_of_int m.Exec.clusters_visited);
-    ("swizzle_hits", string_of_int m.Exec.swizzle_hits);
-    ("swizzle_misses", string_of_int m.Exec.swizzle_misses);
-    ("swizzle_hit_rate", jfloat (Exec.swizzle_hit_rate m));
-    ("index_entries", string_of_int m.Exec.index_entries);
-    ("index_clusters", string_of_int m.Exec.index_clusters);
-    ("index_residuals", string_of_int m.Exec.index_residuals);
-    ("fused_transitions", string_of_int m.Exec.fused_transitions);
-    ("fused_states", string_of_int m.Exec.fused_states);
-    ("cache_hits", string_of_int m.Exec.cache_hits);
-    ("cache_misses", string_of_int m.Exec.cache_misses);
-    ("cache_evictions", string_of_int m.Exec.cache_evictions);
-    ("shared_demand", string_of_int m.Exec.shared_demand);
-    ("scan_resist_hits", string_of_int m.Exec.scan_resist_hits);
-    ("fell_back", if m.Exec.fell_back then "true" else "false");
-  ]
+  (("count", string_of_int count) :: Bench_schema.metric_fields m)
+  @ [ ("swizzle_hit_rate", jfloat (Exec.swizzle_hit_rate m)) ]
 
 (* CPU-time a thunk, growing the iteration count until the sample is
    long enough to trust; returns nanoseconds per call. *)

@@ -112,8 +112,27 @@ let plan_choice =
     & info [ "plan" ] ~docv:"PLAN"
         ~doc:"Plan: auto (cost-based), simple, xschedule, xscan, xindex.")
 
+(* Path arguments are parsed by their converter, so a malformed path is
+   a usage error (exit 124) that names the parse position, not an
+   uncaught exception. *)
+let parsed parse print =
+  let parse s =
+    try Ok (parse s)
+    with Xpath_parser.Parse_error { position; message } ->
+      Error (`Msg (Printf.sprintf "malformed path %S at position %d: %s" s position message))
+  in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (print v))
+
+let path_conv = parsed Xpath_parser.parse Path.to_string
+
 let path_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH" ~doc:"XPath location path.")
+  Arg.(required & pos 0 (some path_conv) None & info [] ~docv:"PATH" ~doc:"XPath location path.")
+
+let query_arg =
+  Arg.(
+    required
+    & pos 0 (some (parsed Xpath_parser.parse_query Query.to_string)) None
+    & info [] ~docv:"PATH" ~doc:"XPath location path or extended query.")
 
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print result NodeIDs, not only the count.")
@@ -243,8 +262,8 @@ let stats_cmd =
 (* --- explain ----------------------------------------------------------------- *)
 
 let explain_cmd =
-  let run path_str choice rewrite no_fused no_cache store =
-    let path = Path.from_root_element (Xpath_parser.parse path_str) in
+  let run path choice rewrite no_fused no_cache store =
+    let path = Path.from_root_element path in
     let path, plan = Compile.plan_for ~choice ~rewrite store path in
     let plan = apply_fused ~no_fused plan in
     Format.printf "path:     %s@." (Path.to_string path);
@@ -301,9 +320,9 @@ let query_cmd =
       & info [ "serve-policy" ] ~docv:"POLICY"
           ~doc:"How XSchedule picks the next queued cluster: min-pid or cost.")
   in
-  let run path_str choice rewrite no_fused no_cache k budget coalesce_window serve_policy
+  let run query choice rewrite no_fused no_cache k budget coalesce_window serve_policy
       scan_threshold verbose store =
-    let query = Query.from_root_element (Xpath_parser.parse_query path_str) in
+    let query = Query.from_root_element query in
     let config =
       Context.set_result_cache (not no_cache)
         (Context.set_fused (not no_fused)
@@ -346,7 +365,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a location path or extended query with cost metrics.")
     Term.(
-      const run $ path_arg $ plan_choice $ rewrite_flag $ no_fused_flag $ no_cache_flag $ k_arg
+      const run $ query_arg $ plan_choice $ rewrite_flag $ no_fused_flag $ no_cache_flag $ k_arg
       $ budget $ coalesce_window $ serve_policy $ scan_threshold $ verbose $ common_store_term)
 
 (* --- check ------------------------------------------------------------------------ *)
@@ -407,7 +426,7 @@ let check_cmd =
   let path_opt =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some path_conv) None
       & info [ "path" ] ~docv:"PATH" ~doc:"Location path of the replayed case.")
   in
   let tier_arg =
@@ -445,8 +464,8 @@ let check_cmd =
     | _ -> None
   in
   let run cases seed doc_seed fidelity strategy page_size payload capacity policy replacement k
-      budget no_speculation tier path_str =
-    match (path_str : string option) with
+      budget no_speculation tier path =
+    match path with
     | None ->
       (* Sampling mode. *)
       let tiers =
@@ -488,7 +507,7 @@ let check_cmd =
           end)
         tiers;
       if !failed then exit 1
-    | Some path_str ->
+    | Some path ->
       (* Reproducer mode: one fully specified case. *)
       let doc_seed = Option.value ~default:20050614 doc_seed in
       let case =
@@ -500,7 +519,7 @@ let check_cmd =
           k;
           speculative = not no_speculation;
           memory_budget = budget;
-          path = Xpath_parser.parse path_str;
+          path;
         }
       in
       Format.printf "%a@." D.pp_case case;
@@ -526,7 +545,7 @@ let workload_cmd =
   let paths_arg =
     Arg.(
       non_empty
-      & pos_all string []
+      & pos_all (parsed (fun s -> (s, Xpath_parser.parse s)) fst) []
       & info [] ~docv:"PATH" ~doc:"Location paths; each becomes one job per client per round.")
   in
   let clients_arg =
@@ -580,7 +599,6 @@ let workload_cmd =
       prerr_endline "xnav workload: --writers must be non-negative";
       exit 2
     end;
-    let parsed = List.map (fun p -> (p, Xpath_parser.parse p)) paths in
     let spec (label, path) = { Workload.label; path; plan; timeout; ops = [] } in
     (* Clients start out of phase (each rotates the path list by its
        index) so every path sees contention from the others. *)
@@ -595,7 +613,7 @@ let workload_cmd =
     in
     let queues =
       Array.init clients (fun i ->
-          List.concat (List.init rounds (fun _ -> List.map spec (rotate i parsed))))
+          List.concat (List.init rounds (fun _ -> List.map spec (rotate i paths))))
     in
     (* Writer clients: sampled in-place ops over the stored elements (a
        fixed LCG keeps the schedule reproducible for a given store). *)
@@ -635,7 +653,7 @@ let workload_cmd =
               [
                 {
                   Workload.label = Printf.sprintf "writer.%d" w;
-                  path = snd (List.hd parsed);
+                  path = snd (List.hd paths);
                   plan;
                   timeout = None;
                   ops;
@@ -693,7 +711,7 @@ let workload_cmd =
           (sumi (fun j -> j.Workload.starved_ticks))
           (sumi (fun j -> j.Workload.yields))
           (sumi (fun j -> j.Workload.boosts)))
-      parsed;
+      paths;
     if r.Workload.violations <> [] then begin
       prerr_endline "invariant violations:";
       List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;

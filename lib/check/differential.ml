@@ -16,6 +16,7 @@ module Workload = Xnav_workload.Workload
 module Shard = Xnav_workload.Shard
 module Update = Xnav_store.Update
 module Context = Xnav_core.Context
+module Metric = Xnav_core.Metric
 module Result_cache = Xnav_core.Result_cache
 module Xmark_gen = Xnav_xmark.Gen
 
@@ -798,26 +799,16 @@ let check_cache_built ~store case =
                (List.length hit_ids) pp_ids hit_ids (List.length off_ids) pp_ids off_ids);
         let moff = off.Exec.metrics and mmiss = miss.Exec.metrics and mhit = hit.Exec.metrics in
         (* The miss is the cache machinery being invisible: every
-           execution counter equals the cache-off run. *)
+           counter outside the cache layer equals the cache-off run. *)
         List.iter
-          (fun (label, proj) ->
-            let a = proj moff and b = proj mmiss in
-            if a <> b then
-              record name (Printf.sprintf "%s diverges: cache-off %d, miss %d" label a b))
-          [
-            ("page_reads", fun m -> m.Exec.page_reads);
-            ("seek_distance", fun m -> m.Exec.seek_distance);
-            ("q_enqueued", fun m -> m.Exec.q_enqueued);
-            ("q_served", fun m -> m.Exec.q_served);
-            ("clusters_visited", fun m -> m.Exec.clusters_visited);
-            ("crossings", fun m -> m.Exec.crossings);
-            ("instances", fun m -> m.Exec.instances);
-            ("specs_created", fun m -> m.Exec.specs_created);
-            ("specs_stored", fun m -> m.Exec.specs_stored);
-            ("specs_resolved", fun m -> m.Exec.specs_resolved);
-            ("fused_transitions", fun m -> m.Exec.fused_transitions);
-            ("fused_states", fun m -> m.Exec.fused_states);
-          ];
+          (fun (e : Metric.entry) ->
+            match e.field with
+            | Metric.Int (get, _) when e.layer <> Metric.Cache && get moff <> get mmiss ->
+              record name
+                (Printf.sprintf "%s diverges: cache-off %d, miss %d" e.name (get moff)
+                   (get mmiss))
+            | _ -> ())
+          Metric.all;
         if moff.Exec.cache_hits + moff.Exec.cache_misses + moff.Exec.cache_evictions > 0 then
           record name
             (Printf.sprintf "cache-off run touched the cache: hits %d misses %d evictions %d"
@@ -830,11 +821,14 @@ let check_cache_built ~store case =
           record name
             (Printf.sprintf "hit run counted hits %d / misses %d (want 1/0)" mhit.Exec.cache_hits
                mhit.Exec.cache_misses);
-        if mhit.Exec.page_reads <> 0 || mhit.Exec.clusters_visited <> 0 || mhit.Exec.instances <> 0
-        then
-          record name
-            (Printf.sprintf "hit run executed: %d reads, %d clusters, %d instances"
-               mhit.Exec.page_reads mhit.Exec.clusters_visited mhit.Exec.instances)
+        (* A hit answers without executing: every metric but the hit
+           itself and its CPU is 0. *)
+        List.iter
+          (fun (e : Metric.entry) ->
+            match e.name with
+            | "cache_hits" | "cpu_time" | "total_time" -> ()
+            | _ -> if not (Metric.is_zero e mhit) then record name ("hit run reported " ^ e.name))
+          Metric.all
       | exception e -> record name (Printf.sprintf "raised %s" (Printexc.to_string e)))
     (plans_for case);
   (* Level 2: identical concurrent statements share one scan. *)

@@ -98,9 +98,10 @@ val check_cache_case : case -> mismatch list
 (** Differential check of the result-cache front door: build the case's
     store and run every plan three times cold — cache off (the
     historical baseline), cache on against an empty cache (the miss run
-    must reproduce every execution counter of the baseline exactly),
-    and cache on again (the hit run must return the identical node set
-    with zero I/O and zero operator work) — then run all the case's
+    must reproduce every counter of {!Xnav_core.Metric.all} outside the
+    cache layer exactly), and cache on again (the hit run must return
+    the identical node set with every metric 0 except [cache_hits] and
+    its CPU time) — then run all the case's
     plans {e at once} through {!Xnav_workload.Workload.run} with the
     front door on, asserting each deduped/shared job still reports the
     serial cache-off answer and that identical concurrent statements

@@ -5,3 +5,16 @@
    the committed baseline all read it from here. *)
 
 let version = "xnav-bench/9"
+
+let metric_fields m =
+  List.map
+    (fun (e : Metric.entry) ->
+      ( e.name,
+        match e.field with
+        | Metric.Int (get, _) -> string_of_int (get m)
+        | Metric.Float (get, _) ->
+          let v = get m in
+          if not (Float.is_finite v) then invalid_arg ("Bench_schema: non-finite " ^ e.name);
+          Printf.sprintf "%.6f" v
+        | Metric.Bool (get, _) -> string_of_bool (get m) ))
+    Metric.all

@@ -13,3 +13,9 @@
 
 val version : string
 (** ["xnav-bench/6"]. *)
+
+val metric_fields : Metric.t -> (string * string) list
+(** The metric part of a bench JSON row: one [(name, JSON value)] pair
+    per entry of {!Metric.all}, in registry order. Counts print as
+    integers, seconds with six decimals, flags as [true]/[false].
+    @raise Invalid_argument on a non-finite float. *)

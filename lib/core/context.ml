@@ -42,104 +42,26 @@ let set_scan_resistant scan_resistant config = { config with scan_resistant }
 
 type mode = Normal | Fallback
 
-type counters = {
-  mutable instances : int;
-  mutable crossings : int;
-  mutable specs_created : int;
-  mutable specs_stored : int;
-  mutable specs_resolved : int;
-  mutable s_peak : int;
-  mutable q_peak : int;
-  mutable clusters_visited : int;
-  mutable fallbacks : int;
-  mutable q_enqueued : int;
-  mutable q_served : int;
-  mutable q_dropped : int;
-  mutable results_emitted : int;
-  mutable dedup_hits : int;
-  mutable prefetch_refusals : int;
-  mutable swizzle_hits : int;
-  mutable swizzle_misses : int;
-  mutable scan_windows : int;
-  mutable scan_window_pages : int;
-  mutable served_ticks : int;
-  mutable starved_ticks : int;
-  mutable index_entries : int;
-  mutable index_clusters : int;
-  mutable index_residuals : int;
-  mutable fused_transitions : int;
-  mutable fused_states : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_evictions : int;
-  mutable shared_demand : int;
-  mutable writer_commits : int;
-  mutable latch_waits : int;
-  mutable snapshot_retries : int;
-  mutable cluster_stales : int;
-  mutable scan_resist_hits : int;
-}
+include Metric.Record
 
 type t = {
   store : Xnav_store.Store.t;
   config : config;
   mutable mode : mode;
-  counters : counters;
+  counters : metrics;
   mutable trace : (string -> unit) option;
 }
 
 let create ?(config = default_config) store =
-  {
-    store;
-    config;
-    mode = Normal;
-    trace = None;
-    counters =
-      {
-        instances = 0;
-        crossings = 0;
-        specs_created = 0;
-        specs_stored = 0;
-        specs_resolved = 0;
-        s_peak = 0;
-        q_peak = 0;
-        clusters_visited = 0;
-        fallbacks = 0;
-        q_enqueued = 0;
-        q_served = 0;
-        q_dropped = 0;
-        results_emitted = 0;
-        dedup_hits = 0;
-        prefetch_refusals = 0;
-        swizzle_hits = 0;
-        swizzle_misses = 0;
-        scan_windows = 0;
-        scan_window_pages = 0;
-        served_ticks = 0;
-        starved_ticks = 0;
-        index_entries = 0;
-        index_clusters = 0;
-        index_residuals = 0;
-        fused_transitions = 0;
-        fused_states = 0;
-        cache_hits = 0;
-        cache_misses = 0;
-        cache_evictions = 0;
-        shared_demand = 0;
-        writer_commits = 0;
-        latch_waits = 0;
-        snapshot_retries = 0;
-        cluster_stales = 0;
-        scan_resist_hits = 0;
-      };
-  }
+  { store; config; mode = Normal; trace = None; counters = Metric.create () }
 
 let enter_fallback t =
   match t.mode with
   | Fallback -> ()
   | Normal ->
     t.mode <- Fallback;
-    t.counters.fallbacks <- t.counters.fallbacks + 1
+    t.counters.fallbacks <- t.counters.fallbacks + 1;
+    t.counters.fell_back <- true
 
 let fallback t = t.mode = Fallback
 

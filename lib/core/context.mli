@@ -98,99 +98,17 @@ val set_scan_resistant : bool -> config -> config
 
 type mode = Normal | Fallback
 
-type counters = {
-  mutable instances : int;  (** Path instances created. *)
-  mutable crossings : int;  (** Inter-cluster edges encountered by XStep. *)
-  mutable specs_created : int;
-      (** Speculative seed instances generated at Up borders (one per
-          border slot and step). Each seed can fan out into several
-          stored speculations through the XStep chain. *)
-  mutable specs_stored : int;  (** Speculations that entered XAssembly's store [S]. *)
-  mutable specs_resolved : int;  (** Speculations whose left end became reachable. *)
-  mutable s_peak : int;  (** High-water mark of |S|. *)
-  mutable q_peak : int;  (** High-water mark of |Q|. *)
-  mutable clusters_visited : int;  (** Clusters made current by an I/O operator. *)
-  mutable fallbacks : int;
-  mutable q_enqueued : int;  (** Items that entered XSchedule's queue [Q]. *)
-  mutable q_served : int;  (** Items drained from [Q] into an agenda. *)
-  mutable q_dropped : int;
-      (** Items discarded when a pipeline was abandoned for a full
-          restart with the simple method (see {!Xschedule.abandon}). *)
-  mutable results_emitted : int;  (** Distinct result nodes emitted by XAssembly. *)
-  mutable dedup_hits : int;  (** Duplicate emissions suppressed (XAssembly + UnnestMap). *)
-  mutable prefetch_refusals : int;
-      (** Cluster prefetches the buffer refused (every frame pinned);
-          retried by XSchedule's dispatch loop. *)
-  mutable swizzle_hits : int;
-      (** Decoded-record cache hits in the run's swizzled views (filled
-          from {!Xnav_store.Store.swizzle_stats} deltas by the driver). *)
-  mutable swizzle_misses : int;  (** Cache misses (first decode of a slot). *)
-  mutable scan_windows : int;  (** Adaptive scan windows entered by XSchedule. *)
-  mutable scan_window_pages : int;  (** Pages swept inside those windows. *)
-  mutable served_ticks : int;
-      (** Workload-fairness counter: scheduler turns in which this
-          query's stream was the one chosen to run (see
-          {!Xnav_workload.Workload}). Always 0 for stand-alone runs. *)
-  mutable starved_ticks : int;
-      (** Scheduler turns this query sat runnable while another query
-          was chosen. Always 0 for stand-alone runs. *)
-  mutable index_entries : int;
-      (** Instances seeded from the path partition's entry lists by the
-          XIndex operator. Always 0 for non-index plans. *)
-  mutable index_clusters : int;
-      (** Clusters the XIndex operator pinned to materialise seeds. *)
-  mutable index_residuals : int;
-      (** Border continuations served back through XIndex while the
-          XStep tail evaluated a residual suffix. *)
-  mutable fused_transitions : int;
-      (** Automaton transitions the fused operator processed — one per
-          cursor emission consumed (reached node, crossing, or global
-          enumeration hit). Always 0 when fused evaluation is off. *)
-  mutable fused_states : int;
-      (** Automaton states entered — work-stack frames pushed by the
-          fused operator (one per partial match that opens the next
-          step's enumeration). Always 0 when fused evaluation is off. *)
-  mutable cache_hits : int;
-      (** Result-cache hits: the run (or workload job) was answered from
-          {!Result_cache} without planning or I/O. Always 0 with
-          [config.result_cache] off. *)
-  mutable cache_misses : int;
-      (** Cacheable runs that had to execute (no entry, or the entry was
-          staled by a store mutation) and installed their answer. *)
-  mutable cache_evictions : int;
-      (** LRU evictions this run's installation caused. *)
-  mutable shared_demand : int;
-      (** Workload-only: jobs whose pending cluster demand was deduped
-          into another client's identical in-flight scan instead of
-          evaluating independently. Always 0 for stand-alone runs. *)
-  mutable writer_commits : int;
-      (** Workload-only: update operations this writer job committed
-          (inserts/deletes applied to the store). Always 0 for read
-          jobs and stand-alone runs. *)
-  mutable latch_waits : int;
-      (** Workload-only: scheduler turns a writer job spent waiting for
-          another writer's cluster latch. Always 0 for read jobs. *)
-  mutable snapshot_retries : int;
-      (** Workload-only: times a reader's in-flight stream was abandoned
-          and restarted because a writer committed into a cluster the
-          stream had already observed (the snapshot rule). Always 0 for
-          stand-alone runs. *)
-  mutable cluster_stales : int;
-      (** Workload-only: result-cache entries proactively dropped by
-          this writer's commits because their cluster footprint
-          intersected the write set. Always 0 for read jobs. *)
-  mutable scan_resist_hits : int;
-      (** Buffer hits served from the 2Q main queue during this run
-          (filled from {!Xnav_storage.Buffer_manager.stats} deltas by
-          the driver, like the swizzle counters). Always 0 with
-          [config.scan_resistant] off. *)
-}
+include module type of struct
+  include Metric.Record
+end
+(** The run's metrics record ({!Metric}), re-exported with its labels so
+    operators write [c.Context.instances <- c.Context.instances + 1]. *)
 
 type t = {
   store : Xnav_store.Store.t;
   config : config;
   mutable mode : mode;
-  counters : counters;
+  counters : metrics;  (** Fresh from {!Metric.create}. *)
   mutable trace : (string -> unit) option;
       (** Optional operator-event sink (cluster visits, crossings,
           results); used to render the paper's Example 6/7 traces. *)
@@ -199,7 +117,8 @@ type t = {
 val create : ?config:config -> Xnav_store.Store.t -> t
 
 val enter_fallback : t -> unit
-(** Switch to fallback mode (idempotent; counted once). *)
+(** Switch to fallback mode (idempotent; counted once in [fallbacks],
+    and sets [fell_back]). *)
 
 val fallback : t -> bool
 

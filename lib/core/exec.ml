@@ -5,51 +5,7 @@ module Disk = Xnav_storage.Disk
 module Buffer_manager = Xnav_storage.Buffer_manager
 module Ordpath = Xnav_xml.Ordpath
 
-type metrics = {
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
-  page_reads : int;
-  sequential_reads : int;
-  random_reads : int;
-  seek_distance : int;
-  buffer_lookups : int;
-  buffer_hits : int;
-  buffer_misses : int;
-  async_reads : int;
-  batched_reads : int;
-  batch_pages : int;
-  coalesce_runs : int;
-  scan_windows : int;
-  scan_window_pages : int;
-  instances : int;
-  crossings : int;
-  specs_created : int;
-  specs_stored : int;
-  specs_resolved : int;
-  s_peak : int;
-  q_peak : int;
-  q_enqueued : int;
-  q_served : int;
-  clusters_visited : int;
-  swizzle_hits : int;
-  swizzle_misses : int;
-  index_entries : int;
-  index_clusters : int;
-  index_residuals : int;
-  fused_transitions : int;
-  fused_states : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  shared_demand : int;
-  writer_commits : int;
-  latch_waits : int;
-  snapshot_retries : int;
-  cluster_stales : int;
-  scan_resist_hits : int;
-  fell_back : bool;
-}
+include Metric.Record
 
 type result = { nodes : Store.info list; count : int; metrics : metrics }
 
@@ -117,8 +73,12 @@ let pipeline ctx store path plan contexts =
            the schedule shape: same results, no index counters. *)
         schedule_pipeline ())
 
-let run ?config ?contexts ?trace ?(ordered = true) store path plan =
-  if path = [] then invalid_arg "Exec.run: empty path";
+(* Shared by [run] and [prepare]: the run's context, with the config
+   defaulted from the plan and the trace sink installed. The
+   eviction-policy knob travels with the config: knob-off runs put the
+   pool back on the historical exact LRU before the first fix. *)
+let setup ~caller ?config ?contexts ?trace store path plan =
+  if path = [] then invalid_arg (caller ^ ": empty path");
   let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
   let config =
     match (config, plan) with
@@ -129,15 +89,16 @@ let run ?config ?contexts ?trace ?(ordered = true) store path plan =
   in
   let ctx = Context.create ~config store in
   ctx.Context.trace <- trace;
+  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
+  (ctx, contexts)
+
+let run ?config ?contexts ?trace ?(ordered = true) store path plan =
+  let ctx, contexts = setup ~caller:"Exec.run" ?config ?contexts ?trace store path plan in
+  let config = ctx.Context.config and c = ctx.Context.counters in
   let buffer = Store.buffer store in
-  (* The eviction-policy knob travels with the config: knob-off runs put
-     the pool back on the historical exact LRU before the first fix. *)
-  Buffer_manager.set_scan_resistant buffer config.Context.scan_resistant;
   let disk = Buffer_manager.disk buffer in
-  let disk_before = Disk.stats disk in
+  let before = Metric.read store in
   let io_before = Disk.elapsed disk in
-  let buf_before = Buffer_manager.stats buffer in
-  let swiz_hits_before, swiz_misses_before = Store.swizzle_stats store in
   let cpu_before = Sys.time () in
 
   (* The repeat-traffic front door: root-context statements are answered
@@ -154,59 +115,12 @@ let run ?config ?contexts ?trace ?(ordered = true) store path plan =
   in
   match (match cache_key with Some key -> Result_cache.find store key | None -> None) with
   | Some entry ->
-    let c = ctx.Context.counters in
-    c.Context.cache_hits <- 1;
-    let cpu_time = Sys.time () -. cpu_before in
-    {
-      nodes = Result_cache.nodes entry;
-      count = Result_cache.count entry;
-      metrics =
-        {
-          io_time = 0.0;
-          cpu_time;
-          total_time = cpu_time;
-          page_reads = 0;
-          sequential_reads = 0;
-          random_reads = 0;
-          seek_distance = 0;
-          buffer_lookups = 0;
-          buffer_hits = 0;
-          buffer_misses = 0;
-          async_reads = 0;
-          batched_reads = 0;
-          batch_pages = 0;
-          coalesce_runs = 0;
-          scan_windows = 0;
-          scan_window_pages = 0;
-          instances = 0;
-          crossings = 0;
-          specs_created = 0;
-          specs_stored = 0;
-          specs_resolved = 0;
-          s_peak = 0;
-          q_peak = 0;
-          q_enqueued = 0;
-          q_served = 0;
-          clusters_visited = 0;
-          swizzle_hits = 0;
-          swizzle_misses = 0;
-          index_entries = 0;
-          index_clusters = 0;
-          index_residuals = 0;
-          fused_transitions = 0;
-          fused_states = 0;
-          cache_hits = 1;
-          cache_misses = 0;
-          cache_evictions = 0;
-          shared_demand = 0;
-          writer_commits = 0;
-          latch_waits = 0;
-          snapshot_retries = 0;
-          cluster_stales = 0;
-          scan_resist_hits = 0;
-          fell_back = false;
-        };
-    }
+    (* A hit reports only itself and its CPU: every other metric of the
+       fresh context is still 0. *)
+    c.cache_hits <- 1;
+    c.cpu_time <- Sys.time () -. cpu_before;
+    c.total_time <- c.cpu_time;
+    { nodes = Result_cache.nodes entry; count = Result_cache.count entry; metrics = c }
   | None ->
 
   (* While a cacheable run executes, record the clusters it reads: the
@@ -249,16 +163,10 @@ let run ?config ?contexts ?trace ?(ordered = true) store path plan =
   in
   (match touched with Some _ -> ignore (Store.swap_touch_log store saved_log) | None -> ());
 
-  let cpu_time = Sys.time () -. cpu_before in
-  let io_time = Disk.elapsed disk -. io_before in
-  let disk_after = Disk.stats disk in
-  let buf_after = Buffer_manager.stats buffer in
-  let swiz_hits_after, swiz_misses_after = Store.swizzle_stats store in
-  let c = ctx.Context.counters in
-  c.Context.swizzle_hits <- swiz_hits_after - swiz_hits_before;
-  c.Context.swizzle_misses <- swiz_misses_after - swiz_misses_before;
-  c.Context.scan_resist_hits <-
-    buf_after.Buffer_manager.scan_resist_hits - buf_before.Buffer_manager.scan_resist_hits;
+  c.cpu_time <- Sys.time () -. cpu_before;
+  c.io_time <- Disk.elapsed disk -. io_before;
+  c.total_time <- c.io_time +. c.cpu_time;
+  Metric.set_deltas c ~before ~after:(Metric.read store);
   let pinned = Buffer_manager.pinned_count buffer in
   if pinned <> 0 then failwith (Printf.sprintf "Exec.run: %d pages left pinned" pinned);
 
@@ -319,56 +227,7 @@ let run ?config ?contexts ?trace ?(ordered = true) store path plan =
     in
     Invariant.enforce ?xschedule ?xindex ?results ctx
   end;
-  {
-    nodes;
-    count;
-    metrics =
-      {
-        io_time;
-        cpu_time;
-        total_time = io_time +. cpu_time;
-        page_reads = disk_after.Disk.reads - disk_before.Disk.reads;
-        sequential_reads = disk_after.Disk.sequential_reads - disk_before.Disk.sequential_reads;
-        random_reads = disk_after.Disk.random_reads - disk_before.Disk.random_reads;
-        seek_distance = disk_after.Disk.seek_distance - disk_before.Disk.seek_distance;
-        buffer_lookups = buf_after.Buffer_manager.lookups - buf_before.Buffer_manager.lookups;
-        buffer_hits = buf_after.Buffer_manager.hits - buf_before.Buffer_manager.hits;
-        buffer_misses = buf_after.Buffer_manager.misses - buf_before.Buffer_manager.misses;
-        async_reads = buf_after.Buffer_manager.async_reads - buf_before.Buffer_manager.async_reads;
-        batched_reads = disk_after.Disk.batched_reads - disk_before.Disk.batched_reads;
-        batch_pages = disk_after.Disk.batch_pages - disk_before.Disk.batch_pages;
-        coalesce_runs = disk_after.Disk.coalesce_runs - disk_before.Disk.coalesce_runs;
-        scan_windows = c.Context.scan_windows;
-        scan_window_pages = c.Context.scan_window_pages;
-        instances = c.Context.instances;
-        crossings = c.Context.crossings;
-        specs_created = c.Context.specs_created;
-        specs_stored = c.Context.specs_stored;
-        specs_resolved = c.Context.specs_resolved;
-        s_peak = c.Context.s_peak;
-        q_peak = c.Context.q_peak;
-        q_enqueued = c.Context.q_enqueued;
-        q_served = c.Context.q_served;
-        clusters_visited = c.Context.clusters_visited;
-        swizzle_hits = c.Context.swizzle_hits;
-        swizzle_misses = c.Context.swizzle_misses;
-        index_entries = c.Context.index_entries;
-        index_clusters = c.Context.index_clusters;
-        index_residuals = c.Context.index_residuals;
-        fused_transitions = c.Context.fused_transitions;
-        fused_states = c.Context.fused_states;
-        cache_hits = c.Context.cache_hits;
-        cache_misses = c.Context.cache_misses;
-        cache_evictions = c.Context.cache_evictions;
-        shared_demand = c.Context.shared_demand;
-        writer_commits = c.Context.writer_commits;
-        latch_waits = c.Context.latch_waits;
-        snapshot_retries = c.Context.snapshot_retries;
-        cluster_stales = c.Context.cluster_stales;
-        scan_resist_hits = c.Context.scan_resist_hits;
-        fell_back = Context.fallback ctx;
-      };
-  }
+  { nodes; count; metrics = c }
 
 type stream = {
   next : unit -> Store.info option;
@@ -379,18 +238,7 @@ type stream = {
 }
 
 let prepare ?config ?contexts ?trace store path plan =
-  if path = [] then invalid_arg "Exec.prepare: empty path";
-  let contexts = match contexts with Some c -> c | None -> [ Store.root store ] in
-  let config =
-    match (config, plan) with
-    | Some c, _ -> c
-    | None, Plan.Reordered { io = Plan.Io_schedule { speculative }; _ } ->
-      { Context.default_config with Context.speculative }
-    | None, _ -> Context.default_config
-  in
-  let ctx = Context.create ~config store in
-  ctx.Context.trace <- trace;
-  Buffer_manager.set_scan_resistant (Store.buffer store) config.Context.scan_resistant;
+  let ctx, contexts = setup ~caller:"Exec.prepare" ?config ?contexts ?trace store path plan in
   let next, xschedule, xscan, xindex = pipeline ctx store path plan contexts in
   {
     next;
@@ -429,31 +277,4 @@ let swizzle_hit_rate m =
   let touched = m.swizzle_hits + m.swizzle_misses in
   if touched = 0 then 0.0 else float_of_int m.swizzle_hits /. float_of_int touched
 
-let pp_metrics ppf m =
-  Format.fprintf ppf
-    "@[<v>total %.4fs (io %.4fs, cpu %.4fs)@,\
-     reads %d (seq %d, rnd %d, seek-dist %d), async %d@,\
-     batches %d (%d pages, %d coalesced), scan windows %d (%d pages)@,\
-     buffer: lookups %d hits %d misses %d@,\
-     instances %d crossings %d specs %d/%d/%d (S peak %d, Q peak %d)@,\
-     queue: enqueued %d served %d@,\
-     index: entries %d clusters %d residuals %d@,\
-     fused: transitions %d states %d@,\
-     cache: hits %d misses %d evictions %d shared %d@,\
-     writers: commits %d latch-waits %d retries %d stales %d@,\
-     2q: protected hits %d@,\
-     swizzle: hits %d misses %d (%.0f%% hit rate)@,\
-     clusters visited %d%s@]"
-    m.total_time m.io_time m.cpu_time m.page_reads m.sequential_reads m.random_reads
-    m.seek_distance m.async_reads m.batched_reads m.batch_pages m.coalesce_runs m.scan_windows
-    m.scan_window_pages m.buffer_lookups m.buffer_hits m.buffer_misses m.instances
-    m.crossings m.specs_created m.specs_stored m.specs_resolved m.s_peak m.q_peak
-    m.q_enqueued m.q_served m.index_entries m.index_clusters m.index_residuals
-    m.fused_transitions m.fused_states m.cache_hits m.cache_misses m.cache_evictions
-    m.shared_demand m.writer_commits m.latch_waits m.snapshot_retries m.cluster_stales
-    m.scan_resist_hits
-    m.swizzle_hits
-    m.swizzle_misses
-    (100. *. swizzle_hit_rate m)
-    m.clusters_visited
-    (if m.fell_back then " [fell back]" else "")
+let pp_metrics = Metric.pp

@@ -8,72 +8,11 @@
     separately — with the difference that our I/O seconds come from a
     reproducible simulator rather than a wall clock. *)
 
-type metrics = {
-  io_time : float;
-  cpu_time : float;
-  total_time : float;
-  page_reads : int;
-  sequential_reads : int;
-  random_reads : int;
-  seek_distance : int;
-  buffer_lookups : int;
-  buffer_hits : int;
-  buffer_misses : int;
-  async_reads : int;
-  batched_reads : int;  (** Vectored multi-page reads issued. *)
-  batch_pages : int;  (** Pages delivered through those reads. *)
-  coalesce_runs : int;  (** Vectored reads that carried ≥ 2 pages. *)
-  scan_windows : int;  (** Adaptive scan windows XSchedule entered. *)
-  scan_window_pages : int;  (** Pages swept inside those windows. *)
-  instances : int;
-  crossings : int;
-  specs_created : int;
-  specs_stored : int;
-  specs_resolved : int;
-  s_peak : int;
-  q_peak : int;
-  q_enqueued : int;  (** Items that entered XSchedule's queue [Q]. *)
-  q_served : int;  (** Items drained from [Q] into an agenda. *)
-  clusters_visited : int;
-  swizzle_hits : int;  (** Swizzled decode-cache hits during the run. *)
-  swizzle_misses : int;  (** First-decode misses (and post-update refills). *)
-  index_entries : int;  (** Instances seeded from partition entry lists. *)
-  index_clusters : int;  (** Clusters the XIndex operator pinned. *)
-  index_residuals : int;  (** Border continuations served back through XIndex. *)
-  fused_transitions : int;
-      (** Automaton transitions the fused chain processed (cursor
-          emissions consumed). 0 when fused evaluation is off. *)
-  fused_states : int;  (** Work-stack frames the fused chain pushed. *)
-  cache_hits : int;
-      (** 1 when this run was answered from {!Result_cache} (every other
-          counter is then 0 — no planning, no I/O). Requires
-          [config.result_cache]. *)
-  cache_misses : int;
-      (** 1 when this run was cacheable but had to execute; its answer
-          was installed for the next identical statement. *)
-  cache_evictions : int;  (** LRU evictions the installation caused. *)
-  shared_demand : int;
-      (** Workload-only: 1 when this job was deduped into another
-          client's identical in-flight scan. 0 for stand-alone runs. *)
-  writer_commits : int;
-      (** Workload-only: update operations a writer job committed. 0 for
-          read jobs and stand-alone runs. *)
-  latch_waits : int;
-      (** Workload-only: turns a writer spent blocked on another
-          writer's cluster latch. 0 for read jobs. *)
-  snapshot_retries : int;
-      (** Workload-only: reader stream restarts forced by a writer
-          committing into an already-observed cluster. 0 for
-          stand-alone runs. *)
-  cluster_stales : int;
-      (** Workload-only: result-cache entries a writer's commits
-          proactively dropped (footprint intersected the write set). 0
-          for read jobs. *)
-  scan_resist_hits : int;
-      (** Buffer hits served from the 2Q-protected main queue during the
-          run. 0 with [config.scan_resistant] off. *)
-  fell_back : bool;
-}
+include module type of struct
+  include Metric.Record
+end
+(** The run's metrics: the record of its {!Context.t}, one field per
+    entry of {!Metric.all}. Readers write [m.Exec.page_reads]. *)
 
 val swizzle_hit_rate : metrics -> float
 (** [swizzle_hits / (swizzle_hits + swizzle_misses)], 0 when no view was
@@ -104,9 +43,10 @@ val run :
     With [config.result_cache] set, a root-context run first consults
     {!Result_cache} (keyed on the path text, validated against the
     store's mutation stamp): a hit skips planning and I/O entirely and
-    reports [cache_hits = 1] with every other metric zero; a miss
-    executes normally and installs its answer. {!Query_exec} inherits
-    this per trunk segment. Non-root contexts always execute.
+    reports [cache_hits = 1] with every other metric zero except
+    [cpu_time] and [total_time]; a miss executes normally and installs
+    its answer. {!Query_exec} inherits this per trunk segment. Non-root
+    contexts always execute.
 
     @raise Invalid_argument if [path] is empty, or a reordered plan is
     requested for a path with non-downward axes.
@@ -189,3 +129,4 @@ val cold_run :
     measurement starts cold, as in the paper's setup (Sec. 6.1). *)
 
 val pp_metrics : Format.formatter -> metrics -> unit
+(** {!Metric.pp}: every registered metric, one line per layer. *)

@@ -40,7 +40,7 @@ let local_entry ~i ~descend slot =
 
 type t = {
   ctx : Context.t;
-  cnt : Context.counters;  (* ctx.counters, loaded once for the hot loop *)
+  cnt : Context.metrics;  (* ctx.counters, loaded once for the hot loop *)
   path_len : int;
   test_tags : int array;
       (* the per-state node-test table: test_tags.(i - 1) is chain step

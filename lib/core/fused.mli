@@ -27,7 +27,7 @@
     for a freshly consumed instance.
 
     Counters: [fused_transitions] (cursor emissions consumed) and
-    [fused_states] (frames pushed) in {!Context.counters}. *)
+    [fused_states] (frames pushed) in the run's {!Metric} record. *)
 
 val create :
   Context.t ->

@@ -42,57 +42,36 @@ let post_run ?xschedule ?xindex ?results ctx =
     let p = Xindex.pending_size index in
     if p <> 0 then fail "xindex: %d continuations still pending after the run" p);
 
-  (* Counter conservation. *)
-  let non_negative =
-    [
-      ("instances", c.Context.instances);
-      ("crossings", c.Context.crossings);
-      ("specs_created", c.Context.specs_created);
-      ("specs_stored", c.Context.specs_stored);
-      ("specs_resolved", c.Context.specs_resolved);
-      ("s_peak", c.Context.s_peak);
-      ("q_peak", c.Context.q_peak);
-      ("clusters_visited", c.Context.clusters_visited);
-      ("fallbacks", c.Context.fallbacks);
-      ("q_enqueued", c.Context.q_enqueued);
-      ("q_served", c.Context.q_served);
-      ("q_dropped", c.Context.q_dropped);
-      ("results_emitted", c.Context.results_emitted);
-      ("dedup_hits", c.Context.dedup_hits);
-      ("prefetch_refusals", c.Context.prefetch_refusals);
-      ("swizzle_hits", c.Context.swizzle_hits);
-      ("swizzle_misses", c.Context.swizzle_misses);
-      ("scan_windows", c.Context.scan_windows);
-      ("scan_window_pages", c.Context.scan_window_pages);
-      ("served_ticks", c.Context.served_ticks);
-      ("starved_ticks", c.Context.starved_ticks);
-      ("index_entries", c.Context.index_entries);
-      ("index_clusters", c.Context.index_clusters);
-      ("index_residuals", c.Context.index_residuals);
-      ("fused_transitions", c.Context.fused_transitions);
-      ("fused_states", c.Context.fused_states);
-      ("cache_hits", c.Context.cache_hits);
-      ("cache_misses", c.Context.cache_misses);
-      ("cache_evictions", c.Context.cache_evictions);
-      ("shared_demand", c.Context.shared_demand);
-      ("writer_commits", c.Context.writer_commits);
-      ("latch_waits", c.Context.latch_waits);
-      ("snapshot_retries", c.Context.snapshot_retries);
-      ("cluster_stales", c.Context.cluster_stales);
-      ("scan_resist_hits", c.Context.scan_resist_hits);
-    ]
+  (* Counter conservation: no metric is negative, and a metric gated on
+     a knob stays 0 while the knob is off — that is what makes each
+     knob-off run reproduce the historical regime (no fused counters
+     from the per-step chain, no protected hits under plain LRU, no
+     cache traffic with the front door shut, no decode-cache hits with
+     swizzling off, no scan windows with the hybrid disabled). *)
+  let config = ctx.Context.config in
+  let gate_on = function
+    | Metric.Fused -> config.Context.fused
+    | Metric.Result_cache -> config.Context.result_cache
+    | Metric.Scan_resistant -> config.Context.scan_resistant
+    | Metric.Scan_window -> config.Context.scan_threshold > 0.0
+    | Metric.Swizzling -> Store.swizzling ctx.Context.store
   in
-  List.iter (fun (name, v) -> if v < 0 then fail "counter %s is negative (%d)" name v) non_negative;
-  (* With the fast path disabled every view access must bypass the
-     decode cache: a hit would mean a swizzled handle was consulted. *)
-  if (not (Store.swizzling ctx.Context.store)) && c.Context.swizzle_hits > 0 then
-    fail "swizzle: %d cache hits recorded while swizzling is off" c.Context.swizzle_hits;
-  (* Scan-window accounting: pages are only swept inside a window, and
-     windows only open when the hybrid is enabled. *)
+  List.iter
+    (fun (e : Metric.entry) ->
+      (match e.field with
+      | Metric.Int (get, _) when get c < 0 -> fail "counter %s is negative (%d)" e.name (get c)
+      | Metric.Float (get, _) when get c < 0.0 ->
+        fail "metric %s is negative (%g)" e.name (get c)
+      | _ -> ());
+      match e.gate with
+      | Some gate when (not (gate_on gate)) && not (Metric.is_zero e c) ->
+        fail "%s: %s recorded while %s is off" (Metric.layer_name e.layer) e.name
+          (Metric.gate_name gate)
+      | _ -> ())
+    Metric.all;
+  (* Scan-window accounting: pages are only swept inside a window. *)
   if c.Context.scan_windows = 0 && c.Context.scan_window_pages > 0 then
     fail "scan-window: %d pages swept without any window opening" c.Context.scan_window_pages;
-  if ctx.Context.config.Context.scan_threshold <= 0.0 && c.Context.scan_windows > 0 then
-    fail "scan-window: %d windows opened while the hybrid is disabled" c.Context.scan_windows;
   (* Speculations are discharged from S, so each resolution must have a
      matching store. (specs_created counts seeds, which fan out through
      the XStep chain — it bounds neither stored nor resolved.) *)
@@ -115,34 +94,9 @@ let post_run ?xschedule ?xindex ?results ctx =
       c.Context.clusters_visited;
   if c.Context.index_clusters = 0 && c.Context.index_residuals > 0 then
     fail "xindex: %d residuals served without pinning a cluster" c.Context.index_residuals;
-  (* Fused accounting: the automaton only runs when the config knob is
-     on — with it off, the per-step chain must leave both counters at 0
-     (that is what makes the fused-off differential trace meaningful). *)
-  if (not ctx.Context.config.Context.fused)
-     && c.Context.fused_transitions + c.Context.fused_states > 0
-  then
-    fail "fused: %d transitions / %d states recorded while fused evaluation is off"
-      c.Context.fused_transitions c.Context.fused_states;
-  (* 2Q accounting: protected-queue hits only exist under the
-     scan-resistant policy — knob-off runs must report 0 (that is what
-     makes the knob-off victim trace the historical LRU regime). *)
-  if (not ctx.Context.config.Context.scan_resistant) && c.Context.scan_resist_hits > 0 then
-    fail "2q: %d protected hits recorded while scan-resistant eviction is off"
-      c.Context.scan_resist_hits;
-  (* Result-cache accounting: with the front door off no run may touch
-     the cache (that is what makes cache-off the historical regime), a
-     single run is a hit or a miss but never both, and a hit answers
-     without executing — so it cannot coexist with any I/O or operator
-     work in the same context. *)
-  if (not ctx.Context.config.Context.result_cache)
-     && c.Context.cache_hits + c.Context.cache_misses + c.Context.cache_evictions
-        + c.Context.shared_demand
-        > 0
-  then
-    fail "cache: hits %d / misses %d / evictions %d / shared %d recorded while the result cache \
-          is off"
-      c.Context.cache_hits c.Context.cache_misses c.Context.cache_evictions
-      c.Context.shared_demand;
+  (* Result-cache accounting: a single run is a hit or a miss but never
+     both, and a hit answers without executing — so it cannot coexist
+     with any I/O or operator work in the same context. *)
   if c.Context.cache_hits > 0 && c.Context.cache_misses > 0 then
     fail "cache: %d hits and %d misses in one run" c.Context.cache_hits c.Context.cache_misses;
   if c.Context.cache_evictions > 0 && c.Context.cache_misses = 0 then

@@ -17,7 +17,11 @@
     - [Xindex.pending_size = 0] — no residual continuation stranded —
       and the index counters balance (clusters pinned by XIndex are a
       subset of all visits; no seed without a pin);
-    - counters are non-negative and conserve:
+    - every metric of {!Metric.all} — the disk, buffer and swizzle
+      deltas included — is non-negative, and a metric gated on a knob
+      (fused, 2Q, result cache, scan window, swizzling) is 0 while the
+      knob is off;
+    - counters conserve:
       [specs_resolved <= specs_stored], [s_peak <= specs_stored],
       [q_served = q_enqueued], and the final result count equals
       XAssembly's [results_emitted] (reordered plans emit

@@ -63,7 +63,7 @@ val scan_window : t -> (int * int) option
 val abandon : t -> unit
 (** Tear the operator down mid-run: release the current cluster pin,
     cancel outstanding prefetches and discard all queued work (counted
-    in {!Context.counters.q_dropped}). Called by {!Exec.run} when a
+    in the [q_dropped] metric). Called by {!Exec.run} when a
     post-fallback pipeline cannot make progress (the global
     re-navigation needs a buffer frame but this operator pins the
     current cluster) and the plan restarts with the simple method. *)

@@ -43,7 +43,7 @@
     ([pid±1] also pending) — are {e boosted} ahead of plain round-robin
     order, which is what turns cross-query contention into cross-query
     batching. Fairness is observable: the chosen query's
-    {!Xnav_core.Context.counters.served_ticks} and every other runnable
+    [served_ticks] ({!Xnav_core.Metric}) and every other runnable
     query's (in any pool) [starved_ticks] advance each turn.
 
     {2 Admission}
@@ -81,7 +81,7 @@
     accounting is unaffected. Followers pin nothing and bypass
     admission; fairness credits ([served_ticks]) are charged to all
     sharers each time the leader is served, and each deduped job reports
-    {!Xnav_core.Context.counters.shared_demand}. Jobs with a [timeout]
+    [shared_demand] ({!Xnav_core.Metric}). Jobs with a [timeout]
     never share (a follower's fate is its leader's). With the knob off
     (the default) both levels are inert and the engine reproduces the
     historical execution byte for byte.

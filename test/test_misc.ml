@@ -18,6 +18,11 @@ module Eval_ref = Xnav_xpath.Eval_ref
 
 let check = Alcotest.check
 let bool = Alcotest.bool
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
 let int = Alcotest.int
 
 let tests =
@@ -117,14 +122,34 @@ let tests =
         let contents = really_input_string ic (in_channel_length ic) in
         close_in ic;
         let needle = Printf.sprintf "%S" Xnav_core.Bench_schema.version in
-        let contains s sub =
-          let n = String.length s and m = String.length sub in
-          let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
-          scan 0
-        in
         check bool
           (Printf.sprintf "baseline mentions %s" needle)
           true (contains contents needle));
+    Alcotest.test_case "the CLI reports a malformed path as a usage error" `Quick (fun () ->
+        (* Every subcommand that takes a path parses it in its argument
+           converter: cmdliner's usage-error exit (124) with the parse
+           position, never an uncaught exception (125). *)
+        let err = Filename.temp_file "xnav" ".err" in
+        List.iter
+          (fun (args, position) ->
+            let code =
+              Sys.command (Printf.sprintf "../bin/xnav.exe %s 2> %s" args (Filename.quote err))
+            in
+            let ic = open_in err in
+            let msg = In_channel.input_all ic in
+            close_in ic;
+            check Alcotest.int (args ^ ": exit code") 124 code;
+            let expected = Printf.sprintf "at position %d: expected a name" position in
+            check bool
+              (Printf.sprintf "%s: message %S mentions %S" args msg expected)
+              true (contains msg expected))
+          [
+            ("query '//item['", 7);
+            ("explain 'child::'", 7);
+            ("check --path '/a//'", 4);
+            ("workload '//a' 'b/'", 2);
+          ];
+        Sys.remove err);
   ]
 
 let suite = [ ("misc", tests) ]

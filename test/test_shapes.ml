@@ -80,18 +80,36 @@ let tests =
            cases the share ordering the table reports is no longer
            meaningful. *)
         let paper = { paper_io with Xnav_core.Context.fused = false } in
-        let cpu_share plan =
-          let total, cpu =
-            List.fold_left
-              (fun (t, c) path ->
-                let m = (Exec.cold_run ~config:paper ~ordered:false store path plan).Exec.metrics in
-                (t +. m.Exec.total_time, c +. m.Exec.cpu_time))
-              (0., 0.) Queries.q7.Queries.paths
-          in
-          cpu /. total
+        (* CPU per path is the minimum over [reps] cold runs, taken in
+           rounds that visit every plan and path in turn, so a phase of
+           host contention cannot hold all of one plan's repetitions:
+           the least-disturbed run, as the Table 3 figures in
+           EXPERIMENTS.md. The simulated I/O is the same in every run. *)
+        let reps = 5 in
+        let plans = [| simple; xschedule; xscan |] in
+        let paths = Array.of_list Queries.q7.Queries.paths in
+        let io = Array.make_matrix 3 (Array.length paths) 0.0 in
+        let cpu = Array.make_matrix 3 (Array.length paths) infinity in
+        for _ = 1 to reps do
+          Array.iteri
+            (fun p plan ->
+              Array.iteri
+                (fun i path ->
+                  let r = Exec.cold_run ~config:paper ~ordered:false store path plan in
+                  let m = r.Exec.metrics in
+                  io.(p).(i) <- m.Exec.io_time;
+                  cpu.(p).(i) <- Float.min cpu.(p).(i) m.Exec.cpu_time)
+                paths)
+            plans
+        done;
+        let share p =
+          let sum = Array.fold_left ( +. ) 0.0 in
+          sum cpu.(p) /. (sum io.(p) +. sum cpu.(p))
         in
-        check bool "scan > simple" true (cpu_share xscan > cpu_share simple);
-        check bool "scan > schedule" true (cpu_share xscan > cpu_share xschedule));
+        Printf.printf "CPU share (min of %d): simple %.4f, xschedule %.4f, xscan %.4f\n" reps
+          (share 0) (share 1) (share 2);
+        check bool "scan > simple" true (share 2 > share 0);
+        check bool "scan > schedule" true (share 2 > share 1));
     Alcotest.test_case "sec 2/3: XScan is robust to layout decay, Simple is not" `Slow
       (fun () ->
         let fresh = Gen.bench_store ~scale:0.5 () in

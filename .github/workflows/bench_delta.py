@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
 """Render a compact baseline-vs-run delta table for the CI step summary.
 
-Usage: bench_delta.py BASELINE.json RUN.json [SHARDS.json]
+Usage: bench_delta.py BASELINE.json RUN.json
 
 Matches rows on (query, plan, scale) and prints one GitHub-markdown line
 per plan: row count, mean io_time / total_time delta, and the worst
-single-row total_time delta with the row that produced it. When a
-sharded-workload JSON (bench --workload --shards) is given and present,
-its shards_summary counters — shard_reads, tenant_p99, rebalance_moves,
-scan_resist_hits — are appended as a second table. Purely informational
-— the hard gates are bench --compare and the shard run's own exit code.
+single-row total_time delta with the row that produced it. Purely
+informational — the hard gate is bench --compare.
 """
 
 import json
-import os
 import sys
 from collections import defaultdict
 
@@ -26,33 +22,6 @@ def pct(new, old):
     if old <= 0.0:
         return 0.0
     return 100.0 * (new - old) / old
-
-
-def shard_summary(shards_file):
-    with open(shards_file) as f:
-        doc = json.load(f)
-    summary = doc.get("shards_summary")
-    if summary is None:
-        return
-    print()
-    print(f"### Sharded workload (`{doc.get('schema', '?')}`)")
-    print()
-    cfg = doc.get("config", {})
-    print(
-        f"{summary.get('jobs', '?')} jobs over {cfg.get('shards', '?')} shards / "
-        f"{cfg.get('tenants', '?')} tenants — "
-        f"wall {summary.get('wall_simulated', '?')}s "
-        f"(single-shard {summary.get('single_shard_wall', '?')}s), "
-        f"throughput {summary.get('throughput', '?')} jobs/s."
-    )
-    print()
-    print("| shard_reads | tenant_p99 | tenant_p99_median | rebalance_moves | scan_resist_hits |")
-    print("|---|---|---|---|---|")
-    print(
-        f"| {summary.get('shard_reads', '?')} | {summary.get('tenant_p99', '?')} "
-        f"| {summary.get('tenant_p99_median', '?')} | {summary.get('rebalance_moves', '?')} "
-        f"| {summary.get('scan_resist_hits', '?')} |"
-    )
 
 
 def main():
@@ -89,9 +58,6 @@ def main():
             f"| {sum(tot_deltas) / len(keys):+.1f}% "
             f"| {worst[0]:+.1f}% ({worst[1][0]} @ sf {worst[1][2]}) |"
         )
-
-    if len(sys.argv) > 3 and os.path.exists(sys.argv[3]):
-        shard_summary(sys.argv[3])
 
 
 if __name__ == "__main__":

@@ -8,7 +8,15 @@
      dune exec bench/main.exe -- --filter fig9
      dune exec bench/main.exe -- --quick      smaller sweep
      dune exec bench/main.exe -- --micro      fused vs iterator chain ns/extension
-     dune exec bench/main.exe -- micro        Bechamel microbenches *)
+     dune exec bench/main.exe -- micro        Bechamel microbenches
+     dune exec bench/main.exe -- --smoke --json FILE
+                                              machine-readable rows (--quick: larger)
+     dune exec bench/main.exe -- --quick --compare BENCH_results.json [--tolerance F]
+                                              gate a fresh run against the baseline
+
+   The concurrent-workload gates (sharing, writers, shards, result
+   cache) are Alcotest cases in test/test_workload.ml; the workload
+   benchmark is perfbench/. *)
 
 module Tree = Xnav_xml.Tree
 module Disk = Xnav_storage.Disk
@@ -23,12 +31,10 @@ module Plan = Xnav_core.Plan
 module Exec = Xnav_core.Exec
 module Context = Xnav_core.Context
 module Metric = Xnav_core.Metric
-module Result_cache = Xnav_core.Result_cache
 module Bench_schema = Xnav_core.Bench_schema
 module Xmark = Xnav_xmark.Gen
 module Queries = Xnav_xmark.Queries
 module Workload = Xnav_workload.Workload
-module Shard = Xnav_workload.Shard
 
 (* --- configuration --------------------------------------------------------- *)
 
@@ -893,211 +899,6 @@ let swizzle_micro_rows () =
         swizzle_axes)
     (swizzle_fixtures ())
 
-(* --- skewed repeat-query mix (--workload --skew) ------------------------------- *)
-
-(* The repeat-traffic benchmark: each path of q6'/q7/q15 is one statement
-   variant, and closed-loop clients draw from the variants with a
-   zipfian rank distribution — the hot statement dominates, the tail
-   reappears occasionally. This is the workload the result-cache front
-   door exists for: the same run is measured with the cache off (every
-   job plans and executes from scratch — the historical regime) and on
-   (repeats are served from the cache or deduped into in-flight
-   identical scans). *)
-let skew_variants () =
-  List.concat_map
-    (fun (q : Queries.t) ->
-      List.mapi
-        (fun i path -> (Printf.sprintf "%s.%d" q.Queries.name i, path))
-        q.Queries.paths)
-    [ Queries.q6'; Queries.q7; Queries.q15 ]
-
-let skew_exponent = 1.1
-
-(* Deterministic zipfian job queues: one list per client, sampled with a
-   fixed-seed LCG so every run (and CI) draws the same mix. *)
-let skew_mix ~clients ~per_client =
-  let variants = Array.of_list (skew_variants ()) in
-  let n = Array.length variants in
-  let weights = Array.init n (fun r -> 1.0 /. (float_of_int (r + 1) ** skew_exponent)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  (* The 48-bit drand48 LCG, seeded fixed. *)
-  let state = ref 0x1234ABCD330E in
-  let next () =
-    state := ((!state * 25214903917) + 11) land 0xFFFFFFFFFFFF;
-    float_of_int (!state lsr 17) /. float_of_int 0x80000000
-  in
-  Array.init clients (fun c ->
-      List.init per_client (fun j ->
-          let u = next () *. total in
-          let rec pick r acc =
-            let acc = acc +. weights.(r) in
-            if u <= acc || r = n - 1 then r else pick (r + 1) acc
-          in
-          let rank = pick 0 0.0 in
-          let label, path = variants.(rank) in
-          {
-            Workload.label = Printf.sprintf "%s#c%d.%d" label c j;
-            path;
-            plan = Plan.xschedule ~speculative:false ();
-            timeout = None;
-            ops = [];
-          }))
-
-type skew_summary = {
-  sk_clients : int;
-  sk_per_client : int;
-  sk_jobs : int;
-  sk_distinct : int;
-  sk_served_on : float;
-  sk_served_off : float;
-  sk_speedup : float;
-  sk_hits : int;
-  sk_shared : int;
-  sk_installs : int;
-  sk_reads_on : int;
-  sk_reads_off : int;
-  sk_time_on : float;
-  sk_time_off : float;
-}
-
-let skew_measure cfg ~clients ~per_client =
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, _import = make_store cfg doc in
-  let queues = skew_mix ~clients ~per_client in
-  let jobs = clients * per_client in
-  let distinct =
-    Array.to_list queues
-    |> List.concat_map (List.map (fun (s : Workload.spec) -> Path.to_string s.Workload.path))
-    |> List.sort_uniq compare |> List.length
-  in
-  let run cache =
-    Result_cache.clear ();
-    let config =
-      { Context.default_config with Context.validate = true; Context.result_cache = cache }
-    in
-    let r = Workload.run_clients ~config ~cold:true store queues in
-    if r.Workload.violations <> [] then begin
-      Printf.eprintf "bench --skew (cache %s): invariant violations:\n"
-        (if cache then "on" else "off");
-      List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;
-      exit 1
-    end;
-    if List.length r.Workload.jobs <> jobs then begin
-      Printf.eprintf "bench --skew (cache %s): %d of %d jobs completed\n"
-        (if cache then "on" else "off")
-        (List.length r.Workload.jobs) jobs;
-      exit 1
-    end;
-    r
-  in
-  let off = run false in
-  if off.Workload.cache_hits + off.Workload.shared_jobs + off.Workload.cache_misses <> 0 then begin
-    Printf.eprintf "bench --skew: cache-off run touched the front door\n";
-    exit 1
-  end;
-  let on = run true in
-  Result_cache.clear ();
-  let served (r : Workload.result) =
-    if r.Workload.total_time > 0.0 then float_of_int jobs /. r.Workload.total_time else 0.0
-  in
-  let served_on = served on and served_off = served off in
-  {
-    sk_clients = clients;
-    sk_per_client = per_client;
-    sk_jobs = jobs;
-    sk_distinct = distinct;
-    sk_served_on = served_on;
-    sk_served_off = served_off;
-    sk_speedup = (if served_off > 0.0 then served_on /. served_off else 0.0);
-    sk_hits = on.Workload.cache_hits;
-    sk_shared = on.Workload.shared_jobs;
-    sk_installs = on.Workload.cache_misses;
-    sk_reads_on = on.Workload.page_reads;
-    sk_reads_off = off.Workload.page_reads;
-    sk_time_on = on.Workload.total_time;
-    sk_time_off = off.Workload.total_time;
-  }
-
-(* The front door must pay for itself by an order of magnitude on repeat
-   traffic — the within-run ratio is machine-independent (both runs use
-   the same simulated disk and the same host), so it is gated hard. *)
-let skew_gate_factor = 10.0
-
-let skew_check s =
-  if s.sk_speedup < skew_gate_factor then begin
-    Printf.eprintf
-      "bench --skew: cache-on served %.1f queries/s vs %.1f off — %.1fx, below the %.0fx gate\n"
-      s.sk_served_on s.sk_served_off s.sk_speedup skew_gate_factor;
-    exit 1
-  end
-
-let skew_fields s =
-  [
-    ("clients", string_of_int s.sk_clients);
-    ("jobs_per_client", string_of_int s.sk_per_client);
-    ("jobs", string_of_int s.sk_jobs);
-    ("distinct_paths", string_of_int s.sk_distinct);
-    ("exponent", jfloat skew_exponent);
-    ("served_per_sec_cache_on", jfloat s.sk_served_on);
-    ("served_per_sec_cache_off", jfloat s.sk_served_off);
-    ("speedup", jfloat s.sk_speedup);
-    ("cache_hits", string_of_int s.sk_hits);
-    ("shared_jobs", string_of_int s.sk_shared);
-    ("cache_installs", string_of_int s.sk_installs);
-    ("page_reads_cache_on", string_of_int s.sk_reads_on);
-    ("page_reads_cache_off", string_of_int s.sk_reads_off);
-    ("total_time_cache_on", jfloat s.sk_time_on);
-    ("total_time_cache_off", jfloat s.sk_time_off);
-  ]
-
-(* Enough repeats that the fixed cost of first-executing each distinct
-   statement — and its cold I/O, which both regimes pay — stops
-   dominating the ratio. The tiny smoke store needs more repeats than
-   the quick/full stores, whose per-execution work is bigger relative
-   to the front door's per-hit overhead. *)
-let skew_per_client ~smoke = if smoke then 128 else 32
-
-let skew_mode ~profile ~smoke cfg ~clients out_file =
-  section_header
-    (Printf.sprintf "skewed repeat-query mix — %d clients, zipf(%.1f) over the q6'/q7/q15 variants"
-       clients skew_exponent);
-  let s = skew_measure cfg ~clients ~per_client:(skew_per_client ~smoke) in
-  Printf.printf "%d jobs over %d distinct statements\n" s.sk_jobs s.sk_distinct;
-  Printf.printf "cache off: %8.1f served/s  (%d page reads, %.4fs)\n" s.sk_served_off s.sk_reads_off
-    s.sk_time_off;
-  Printf.printf "cache on:  %8.1f served/s  (%d page reads, %.4fs)\n" s.sk_served_on s.sk_reads_on
-    s.sk_time_on;
-  Printf.printf "speedup %.1fx — %d hits, %d shared scans, %d installs\n" s.sk_speedup s.sk_hits
-    s.sk_shared s.sk_installs;
-  skew_check s;
-  let out =
-    jobj
-      [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload-skew");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat cfg.fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("scale", jfloat 1.0);
-            ] );
-        ("skew", jobj (skew_fields s));
-      ]
-  in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote skew summary to %s\n" out_file
-
 let json_mode ~profile cfg out_file =
   let cells =
     List.concat_map
@@ -1142,10 +943,6 @@ let json_mode ~profile cfg out_file =
   in
   let micro_rows = swizzle_micro_rows () in
   let fused_rows = fused_micro_rows () in
-  (* The skewed repeat-query summary rides along in every --json run, so
-     the committed baseline carries the front door's served/s figures and
-     --compare can gate them. *)
-  let skew = skew_measure cfg ~clients:8 ~per_client:(skew_per_client ~smoke:(profile = "smoke")) in
   let out =
     jobj
       [
@@ -1163,7 +960,6 @@ let json_mode ~profile cfg out_file =
         ("rows", jarr rows);
         ("micro", jarr micro_rows);
         ("micro_fused", jarr fused_rows);
-        ("skew", jobj (skew_fields skew));
       ]
   in
   check_json_shape out;
@@ -1174,489 +970,6 @@ let json_mode ~profile cfg out_file =
   Printf.printf "wrote %d benchmark rows and %d micro rows to %s\n" (List.length rows)
     (List.length micro_rows) out_file;
   out
-
-(* --- concurrent workload mode (--workload) ------------------------------------ *)
-
-(* The paper's evaluation mix run as a session workload: every path of
-   q6'/q7/q15 becomes one job, planned with XSchedule (speculative off,
-   as in Sec. 6.2). *)
-let workload_mix () =
-  List.concat_map
-    (fun (q : Queries.t) ->
-      List.mapi
-        (fun i path ->
-          {
-            Workload.label = Printf.sprintf "%s.%d" q.Queries.name i;
-            path;
-            plan = Plan.xschedule ~speculative:false ();
-            timeout = None;
-            ops = [];
-          })
-        q.Queries.paths)
-    [ Queries.q6'; Queries.q7; Queries.q15 ]
-
-let workload_mode ~profile cfg ~clients ?(writers = 0) out_file =
-  section_header
-    (Printf.sprintf "concurrent workload — %d closed-loop clients over the q6'/q7/q15 mix%s"
-       clients
-       (if writers > 0 then Printf.sprintf ", %d writer clients" writers else ""));
-  let doc =
-    Xmark.generate
-      ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = cfg.fidelity }
-      ()
-  in
-  let store, import = make_store cfg doc in
-  let config = { Context.default_config with Context.validate = true } in
-  (* With writers, the front door rides along so the run exercises
-     cluster-granular invalidation (a commit stales only the cache
-     entries whose footprint it wrote). *)
-  let config_run =
-    if writers > 0 then { config with Context.result_cache = true } else config
-  in
-  let mix = workload_mix () in
-  (* Serial baseline: each job of the mix run alone, started cold. The
-     concurrent run must beat [clients] independent serial passes, or the
-     session layer is not sharing any I/O across queries. *)
-  let serial_reads =
-    List.fold_left
-      (fun acc (s : Workload.spec) ->
-        let r = Exec.cold_run ~config ~ordered:false store s.Workload.path s.Workload.plan in
-        acc + r.Exec.metrics.Exec.page_reads)
-      0 mix
-  in
-  (* Each client works through the whole mix, rotated by its index so the
-     clients are out of phase and every query sees contention. *)
-  let rotate k xs =
-    let k = k mod List.length xs in
-    let rec go i acc = function
-      | rest when i = 0 -> rest @ List.rev acc
-      | x :: rest -> go (i - 1) (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    go k [] xs
-  in
-  let queues = Array.init clients (fun i -> rotate i mix) in
-  (* Writer clients: deterministic in-place insert/delete schedules over
-     the imported NodeIDs (an LCG keeps the sample CI-stable). *)
-  let writer_specs =
-    if writers = 0 then []
-    else begin
-      let ids = import.Import.node_ids in
-      let n = Array.length ids in
-      let tags = Array.of_list (List.map fst (Store.tag_counts store)) in
-      let state = ref 0x5DEECE66D in
-      let rand bound =
-        state := ((!state * 25214903917) + 11) land 0x3FFFFFFFFFFF;
-        !state mod bound
-      in
-      List.init writers (fun w ->
-          let ops =
-            List.init
-              (4 + rand 4)
-              (fun _ ->
-                if n > 1 && rand 2 = 0 then Workload.Delete_subtree ids.(1 + rand (n - 1))
-                else
-                  Workload.Insert_child
-                    { parent = ids.(rand n); tag = tags.(rand (Array.length tags)) })
-          in
-          {
-            Workload.label = Printf.sprintf "writer.%d" w;
-            path = (List.hd mix).Workload.path;
-            plan = Plan.simple;
-            timeout = None;
-            ops;
-          })
-    end
-  in
-  let is_writer (j : Workload.job) =
-    List.exists (fun (s : Workload.spec) -> s.Workload.label = j.Workload.job_label) writer_specs
-  in
-  (* With writers, first measure the same reader mix without them (same
-     config, pristine store — writers only run afterwards) to bound the
-     latency cost the writer traffic may impose on readers. *)
-  let baseline_reader_p99 =
-    if writers = 0 then None
-    else begin
-      Result_cache.clear ();
-      let r0 = Workload.run_clients ~config:config_run ~cold:true store queues in
-      Result_cache.clear ();
-      Some
-        (Workload.percentile
-           (List.map (fun (j : Workload.job) -> j.Workload.latency) r0.Workload.jobs)
-           99.0)
-    end
-  in
-  let queues =
-    Array.append queues (Array.of_list (List.map (fun s -> [ s ]) writer_specs))
-  in
-  let r = Workload.run_clients ~config:config_run ~cold:true store queues in
-  if r.Workload.violations <> [] then begin
-    Printf.eprintf "bench --workload: invariant violations after the run:\n";
-    List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Workload.violations;
-    exit 1
-  end;
-  let pinned = Buffer_manager.pinned_count (Store.buffer store) in
-  if pinned <> 0 then begin
-    Printf.eprintf "bench --workload: %d frame(s) left pinned\n" pinned;
-    exit 1
-  end;
-  let total_jobs = List.length r.Workload.jobs in
-  let expected_jobs = (clients * List.length mix) + writers in
-  if total_jobs <> expected_jobs then begin
-    Printf.eprintf "bench --workload: %d of %d jobs completed\n" total_jobs expected_jobs;
-    exit 1
-  end;
-  (* Writer gates: the writers must actually commit, and reader tail
-     latency must stay within an order of magnitude of the writer-free
-     run — a livelocked latch or restart storm fails loudly here. *)
-  let reader_p99 =
-    Workload.percentile
-      (List.filter_map
-         (fun (j : Workload.job) -> if is_writer j then None else Some j.Workload.latency)
-         r.Workload.jobs)
-      99.0
-  in
-  if writers > 0 then begin
-    if r.Workload.writer_commits = 0 then begin
-      Printf.eprintf "bench --workload --writers: no writer op committed\n";
-      exit 1
-    end;
-    match baseline_reader_p99 with
-    | Some base when reader_p99 > (10.0 *. base) +. 1.0 ->
-      Printf.eprintf
-        "bench --workload --writers: reader p99 %.4fs blew past the writer-free baseline %.4fs\n"
-        reader_p99 base;
-      exit 1
-    | _ -> ()
-  end;
-  let read_budget = clients * serial_reads in
-  if serial_reads > 0 && r.Workload.page_reads >= read_budget then begin
-    Printf.eprintf
-      "bench --workload: no cross-query sharing: %d page reads, budget %d (%d clients x %d serial)\n"
-      r.Workload.page_reads read_budget clients serial_reads;
-    exit 1
-  end;
-  let latencies = List.map (fun (j : Workload.job) -> j.Workload.latency) r.Workload.jobs in
-  let p50 = Workload.percentile latencies 50.0 in
-  let p95 = Workload.percentile latencies 95.0 in
-  let p99 = Workload.percentile latencies 99.0 in
-  let throughput =
-    if r.Workload.total_time > 0.0 then float_of_int total_jobs /. r.Workload.total_time else 0.0
-  in
-  let count_status st =
-    List.length (List.filter (fun (j : Workload.job) -> j.Workload.status = st) r.Workload.jobs)
-  in
-  let yields = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.yields) 0 r.Workload.jobs in
-  let boosts = List.fold_left (fun a (j : Workload.job) -> a + j.Workload.boosts) 0 r.Workload.jobs in
-  Printf.printf "%d jobs (%d completed, %d recovered, %d timed out), max %d concurrent, %d turns\n"
-    total_jobs (count_status Workload.Completed) (count_status Workload.Recovered)
-    (count_status Workload.Timed_out) r.Workload.max_concurrent r.Workload.turns;
-  Printf.printf "throughput %.1f jobs/s   latency p50 %.4fs  p95 %.4fs  p99 %.4fs\n" throughput p50
-    p95 p99;
-  Printf.printf "page reads %d vs budget %d (%d clients x %d serial) — sharing factor %.2fx\n"
-    r.Workload.page_reads read_budget clients serial_reads
-    (float_of_int read_budget /. float_of_int (max 1 r.Workload.page_reads));
-  Printf.printf "coalescing: %d batched reads over %d pages in %d runs; %d yields, %d boosts\n"
-    r.Workload.batched_reads r.Workload.batch_pages r.Workload.coalesce_runs yields boosts;
-  if writers > 0 then
-    Printf.printf
-      "writers: %d commits, %d latch waits, %d snapshot retries, %d cluster stales; reader p99 \
-       %.4fs (writer-free %.4fs)\n"
-      r.Workload.writer_commits r.Workload.latch_waits r.Workload.snapshot_retries
-      r.Workload.cluster_stales reader_p99
-      (Option.value baseline_reader_p99 ~default:0.0);
-  let job_rows =
-    List.map
-      (fun (j : Workload.job) ->
-        jobj
-          [
-            ("label", jstring j.Workload.job_label);
-            ("client", string_of_int j.Workload.client);
-            ("status", jstring (Workload.status_to_string j.Workload.status));
-            ("count", string_of_int j.Workload.count);
-            ("submitted", jfloat j.Workload.submitted);
-            ("started", jfloat j.Workload.started);
-            ("finished", jfloat j.Workload.finished);
-            ("latency", jfloat j.Workload.latency);
-            ("pin_wait", jfloat j.Workload.pin_wait);
-            ("served_ticks", string_of_int j.Workload.served_ticks);
-            ("starved_ticks", string_of_int j.Workload.starved_ticks);
-            ("yields", string_of_int j.Workload.yields);
-            ("boosts", string_of_int j.Workload.boosts);
-            ("writer_commits", string_of_int j.Workload.writer_commits);
-            ("latch_waits", string_of_int j.Workload.latch_waits);
-            ("snapshot_retries", string_of_int j.Workload.snapshot_retries);
-            ("finish_commit", string_of_int j.Workload.finish_commit);
-            ("fell_back", if j.Workload.fell_back then "true" else "false");
-          ])
-      r.Workload.jobs
-  in
-  let out =
-    jobj
-      [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat cfg.fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("scale", jfloat 1.0);
-              ("clients", string_of_int clients);
-              ("nodes", string_of_int import.Import.node_count);
-              ("pages", string_of_int import.Import.page_count);
-            ] );
-        ( "workload",
-          jobj
-            [
-              ("clients", string_of_int clients);
-              ("jobs", string_of_int total_jobs);
-              ("completed", string_of_int (count_status Workload.Completed));
-              ("recovered", string_of_int (count_status Workload.Recovered));
-              ("timed_out", string_of_int (count_status Workload.Timed_out));
-              ("throughput", jfloat throughput);
-              ("latency_p50", jfloat p50);
-              ("latency_p95", jfloat p95);
-              ("latency_p99", jfloat p99);
-              ("page_reads", string_of_int r.Workload.page_reads);
-              ("serial_page_reads", string_of_int serial_reads);
-              ("read_budget", string_of_int read_budget);
-              ("io_time", jfloat r.Workload.io_time);
-              ("cpu_time", jfloat r.Workload.cpu_time);
-              ("total_time", jfloat r.Workload.total_time);
-              ("seek_distance", string_of_int r.Workload.seek_distance);
-              ("batched_reads", string_of_int r.Workload.batched_reads);
-              ("batch_pages", string_of_int r.Workload.batch_pages);
-              ("coalesce_runs", string_of_int r.Workload.coalesce_runs);
-              ("max_concurrent", string_of_int r.Workload.max_concurrent);
-              ("turns", string_of_int r.Workload.turns);
-              ("yields", string_of_int yields);
-              ("boosts", string_of_int boosts);
-              ("writers", string_of_int writers);
-              ("writer_commits", string_of_int r.Workload.writer_commits);
-              ("latch_waits", string_of_int r.Workload.latch_waits);
-              ("snapshot_retries", string_of_int r.Workload.snapshot_retries);
-              ("cluster_stales", string_of_int r.Workload.cluster_stales);
-              ("reader_p99", jfloat reader_p99);
-            ] );
-        ("jobs", jarr job_rows);
-      ]
-  in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %d workload job rows to %s\n" total_jobs out_file
-
-(* --- sharded tenancy mode (--workload --shards) -------------------------------- *)
-
-(* Multi-document tenancy through the Shard engine: M XMark tenant
-   documents placed on K shards by the stable hash, closed-loop clients
-   each pinned to a home tenant, the q6'/q7/q15 mix plus one
-   deliberately antagonistic XScan sweep per client rotation — the
-   co-located sequential scan the 2Q policy must absorb. Three hard
-   gates: every submitted job must come back, no tenant's p99 may
-   collapse relative to the median tenant (the cross-tenant fairness
-   gate made observable), and the sharded wall-clock (the busiest
-   shard's simulated disk time) must not exceed the same workload forced
-   onto a single shard — sharding that loses to colocation is a routing
-   bug, not a topology choice. *)
-let shard_mode ~profile cfg ~clients ~shards ~tenants out_file =
-  section_header
-    (Printf.sprintf "sharded tenancy — %d clients, %d tenants on %d shards (q6'/q7/q15 + scan mix)"
-       clients tenants shards);
-  (* Many small documents model tenancy better than one big one: the
-     interesting costs are routing, per-shard contention and fairness,
-     not per-document depth. *)
-  let tenant_fidelity = Float.max 0.002 (cfg.fidelity *. 0.1) in
-  let tenant_name i = Printf.sprintf "tenant-%02d" i in
-  let tenant_docs =
-    List.init tenants (fun i ->
-        ( tenant_name i,
-          Xmark.generate
-            ~config:
-              { Xmark.scale = 1.0; fidelity = tenant_fidelity; seed = Xmark.default_config.Xmark.seed + i }
-            () ))
-  in
-  let config =
-    { Context.default_config with Context.validate = true; scan_resistant = true }
-  in
-  let mix =
-    workload_mix ()
-    @ [
-        (* The antagonist: a full sequential sweep of the tenant's pages.
-           With 2Q on, its one-shot pages stay probationary and recycle
-           against themselves instead of flushing the mix's hot set. *)
-        (match Queries.q7.Queries.paths with
-        | p :: _ ->
-          { Workload.label = "scan"; path = p; plan = Plan.xscan (); timeout = None; ops = [] }
-        | [] -> assert false);
-      ]
-  in
-  let rotate k xs =
-    let k = k mod List.length xs in
-    let rec go i acc = function
-      | rest when i = 0 -> rest @ List.rev acc
-      | x :: rest -> go (i - 1) (x :: acc) rest
-      | [] -> List.rev acc
-    in
-    go k [] xs
-  in
-  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
-  let per_client = if profile = "smoke" then 4 else 6 in
-  let queues =
-    Array.init clients (fun i ->
-        let tenant = tenant_name (i mod tenants) in
-        List.map (fun spec -> { Shard.tenant; spec }) (take per_client (rotate i mix)))
-  in
-  let expected_jobs = Array.fold_left (fun a q -> a + List.length q) 0 queues in
-  let run_topology k =
-    let t =
-      Shard.create ~capacity:cfg.buffer ~page_size:cfg.page_size ~shards:k tenant_docs
-    in
-    (t, Shard.run_clients ~config ~cold:true t queues)
-  in
-  let _t, r = run_topology shards in
-  let wall_of (res : Shard.result) =
-    List.fold_left (fun a (s : Shard.shard_stat) -> Float.max a s.Shard.io_time) 0.0
-      res.Shard.shard_stats
-  in
-  let wall = wall_of r in
-  (* The colocation reference: same tenants, same clients, one stack. *)
-  let _t1, r1 = run_topology 1 in
-  let single_wall = wall_of r1 in
-  if r.Shard.violations <> [] then begin
-    Printf.eprintf "bench --shards: invariant violations after the run:\n";
-    List.iter (fun v -> Printf.eprintf "  %s\n" v) r.Shard.violations;
-    exit 1
-  end;
-  let total_jobs = List.length r.Shard.jobs in
-  if total_jobs <> expected_jobs then begin
-    Printf.eprintf "bench --shards: %d of %d jobs reported\n" total_jobs expected_jobs;
-    exit 1
-  end;
-  let active_tenants =
-    List.filter (fun (ts : Shard.tenant_stat) -> ts.Shard.jobs > 0) r.Shard.tenant_stats
-  in
-  let p99s = List.map (fun (ts : Shard.tenant_stat) -> ts.Shard.p99) active_tenants in
-  let tenant_p99 = List.fold_left Float.max 0.0 p99s in
-  let tenant_p99_median = Workload.percentile p99s 50.0 in
-  (* The per-tenant tail gate: a collapsing tenant shows up as a p99 far
-     off the median. The absolute floor keeps tiny smoke runs (median
-     near zero) from tripping on scheduler quantisation. *)
-  let p99_bound = (10.0 *. tenant_p99_median) +. 1.0 in
-  if tenant_p99 > p99_bound then begin
-    Printf.eprintf
-      "bench --shards: tenant p99 %.4fs blew past the fairness bound %.4fs (median %.4fs)\n"
-      tenant_p99 p99_bound tenant_p99_median;
-    exit 1
-  end;
-  if wall > (single_wall *. 1.05) +. 1e-6 then begin
-    Printf.eprintf
-      "bench --shards: sharded wall-clock %.4fs exceeds the single-shard reference %.4fs\n" wall
-      single_wall;
-    exit 1
-  end;
-  let shard_reads = r.Shard.page_reads in
-  let scan_resist_hits =
-    List.fold_left (fun a (s : Shard.shard_stat) -> a + s.Shard.scan_resist_hits) 0
-      r.Shard.shard_stats
-  in
-  let throughput = if wall > 0.0 then float_of_int total_jobs /. wall else 0.0 in
-  let count_status st =
-    List.length
-      (List.filter (fun ((_, j) : string * Workload.job) -> j.Workload.status = st) r.Shard.jobs)
-  in
-  Printf.printf "%d jobs (%d completed, %d recovered, %d timed out), max %d concurrent, %d turns\n"
-    total_jobs (count_status Workload.Completed) (count_status Workload.Recovered)
-    (count_status Workload.Timed_out) r.Shard.max_concurrent r.Shard.turns;
-  Printf.printf
-    "wall %.4fs (single-shard %.4fs)   throughput %.1f jobs/s   tenant p99 max %.4fs / median %.4fs\n"
-    wall single_wall throughput tenant_p99 tenant_p99_median;
-  Printf.printf "%d page reads over %d shards; %d rebalance moves, %d 2q protected hits\n"
-    shard_reads shards r.Shard.rebalance_moves scan_resist_hits;
-  let shard_rows =
-    List.map
-      (fun (s : Shard.shard_stat) ->
-        jobj
-          [
-            ("shard", string_of_int s.Shard.shard);
-            ("tenants", string_of_int s.Shard.tenants);
-            ("page_reads", string_of_int s.Shard.page_reads);
-            ("io_time", jfloat s.Shard.io_time);
-            ("turns", string_of_int s.Shard.turns);
-            ("scan_resist_hits", string_of_int s.Shard.scan_resist_hits);
-          ])
-      r.Shard.shard_stats
-  in
-  let tenant_rows =
-    List.map
-      (fun (ts : Shard.tenant_stat) ->
-        jobj
-          [
-            ("tenant", jstring ts.Shard.tenant);
-            ("shard", string_of_int ts.Shard.shard);
-            ("jobs", string_of_int ts.Shard.jobs);
-            ("latency_p50", jfloat ts.Shard.p50);
-            ("latency_p99", jfloat ts.Shard.p99);
-            ("served_ticks", string_of_int ts.Shard.served_ticks);
-            ("starved_ticks", string_of_int ts.Shard.starved_ticks);
-            ("cache_hits", string_of_int ts.Shard.cache_hits);
-          ])
-      r.Shard.tenant_stats
-  in
-  let out =
-    jobj
-      [
-        ("schema", jstring Bench_schema.version);
-        ("mode", jstring "workload-shards");
-        ("profile", jstring profile);
-        ( "config",
-          jobj
-            [
-              ("fidelity", jfloat tenant_fidelity);
-              ("page_size", string_of_int cfg.page_size);
-              ("buffer", string_of_int cfg.buffer);
-              ("clients", string_of_int clients);
-              ("shards", string_of_int shards);
-              ("tenants", string_of_int tenants);
-              ("per_client", string_of_int per_client);
-            ] );
-        ( "shards_summary",
-          jobj
-            [
-              ("jobs", string_of_int total_jobs);
-              ("completed", string_of_int (count_status Workload.Completed));
-              ("recovered", string_of_int (count_status Workload.Recovered));
-              ("timed_out", string_of_int (count_status Workload.Timed_out));
-              ("shard_reads", string_of_int shard_reads);
-              ("tenant_p99", jfloat tenant_p99);
-              ("tenant_p99_median", jfloat tenant_p99_median);
-              ("rebalance_moves", string_of_int r.Shard.rebalance_moves);
-              ("scan_resist_hits", string_of_int scan_resist_hits);
-              ("throughput", jfloat throughput);
-              ("wall_simulated", jfloat wall);
-              ("single_shard_wall", jfloat single_wall);
-              ("turns", string_of_int r.Shard.turns);
-              ("max_concurrent", string_of_int r.Shard.max_concurrent);
-              ("cache_hits", string_of_int r.Shard.cache_hits);
-              ("cpu_time", jfloat r.Shard.cpu_time);
-              ("io_time", jfloat r.Shard.io_time);
-            ] );
-        ("shards", jarr shard_rows);
-        ("tenants", jarr tenant_rows);
-      ]
-  in
-  check_json_shape out;
-  let oc = open_out out_file in
-  output_string oc out;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %d shard rows and %d tenant rows to %s\n" (List.length shard_rows)
-    (List.length tenant_rows) out_file
 
 (* --- baseline comparison (--compare) ------------------------------------------ *)
 
@@ -1818,12 +1131,19 @@ let rows_of_json what j =
   | Some (Jarr rows) -> rows
   | _ -> raise (Malformed (what ^ ": no rows array"))
 
+(* The deterministic counters of a row: the result [count] and every
+   integer metric of the registry. *)
+let exact_fields =
+  "count"
+  :: List.filter_map
+       (fun (e : Metric.entry) -> match e.field with Metric.Int _ -> Some e.name | _ -> None)
+       Metric.all
+
 (* Gate a fresh --json run against a committed baseline. Every baseline
    plan x query x scale row must reappear with:
-   - the same deterministic counters — result [count], [page_reads],
-     [buffer_lookups] and [buffer_misses] — exactly: a plan that
-     changed which pages it fixes, or how often, fails here whatever
-     its timing;
+   - the same deterministic counters ([exact_fields]) exactly: a plan
+     that changed which pages it fixes, or how often, fails here
+     whatever its timing;
    - [total_time] and [io_time] no worse than [tolerance] (relative,
      with small absolute floors: io_time is deterministic, total_time
      carries the row's CPU);
@@ -1860,7 +1180,7 @@ let compare_with_baseline ~tolerance current baseline_file =
               if b <> c then
                 Printf.printf "compare: %-28s %s changed %.0f -> %.0f\n" label field b c;
               b <> c)
-            [ "count"; "page_reads"; "buffer_lookups"; "buffer_misses" ]
+            exact_fields
         in
         if changed <> [] then incr failures
         else begin
@@ -1938,34 +1258,6 @@ let compare_with_baseline ~tolerance current baseline_file =
         end
       | _ -> ())
     index_scales;
-  (* Skew gate (since xnav-bench/6): the result-cache front door must
-     serve the skewed repeat-query mix at least [skew_gate_factor] times
-     faster than cache-off. The within-run ratio is gated hard (both
-     runs share the simulated disk and the host, so it is stable); the
-     cross-run comparison against the baseline's ratio only backstops at
-     a loose 5x tolerance, because served/s includes wall-clock CPU. *)
-  (match jget current_json "skew" with
-  | None ->
-    incr failures;
-    Printf.printf "compare: current run has no skew section (schema %s)\n" Bench_schema.version
-  | Some skew ->
-    let speedup = jnum_exn "skew.speedup" (jget skew "speedup") in
-    if speedup < skew_gate_factor then begin
-      incr failures;
-      Printf.printf "compare: skew speedup %.1fx below the %.0fx front-door gate\n" speedup
-        skew_gate_factor
-    end;
-    (match jget baseline "skew" with
-    | None -> ()
-    | Some bskew ->
-      let bspeedup = jnum_exn "skew.speedup" (jget bskew "speedup") in
-      if speedup < bspeedup /. (1. +. (5. *. tolerance)) then begin
-        incr failures;
-        Printf.printf
-          "compare: skew speedup regressed %.1fx -> %.1fx (backstop tolerance %.0f%%)\n" bspeedup
-          speedup
-          (100. *. 5. *. tolerance)
-      end));
   if !failures = 0 then
     Printf.printf "compare: no regressions vs %s (%d rows, tolerance %.0f%%)\n" baseline_file
       (List.length base_rows) (100. *. tolerance)
@@ -2088,6 +1380,15 @@ let sections cfg =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  let rec check_args = function
+    | [] -> ()
+    | ("--filter" | "--json" | "--compare" | "--tolerance") :: _ :: rest -> check_args rest
+    | ("--quick" | "--smoke" | "--micro" | "micro") :: rest -> check_args rest
+    | arg :: _ ->
+      Printf.eprintf "bench: unknown argument %s (usage at the top of bench/main.ml)\n" arg;
+      exit 2
+  in
+  check_args args;
   let quick = List.mem "--quick" args in
   let smoke = List.mem "--smoke" args in
   let rec find_value flag = function
@@ -2124,51 +1425,6 @@ let () =
       else if quick then ("quick", quick_config)
       else ("full", full_config)
     in
-    if List.mem "--workload" args then begin
-      let clients =
-        match find_value "--clients" args with
-        | None -> 8
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> n
-          | _ ->
-            Printf.eprintf "bench --clients: not a positive integer: %s\n" v;
-            exit 1)
-      in
-      let writers =
-        match find_value "--writers" args with
-        | None -> 0
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n >= 0 -> n
-          | _ ->
-            Printf.eprintf "bench --writers: not a non-negative integer: %s\n" v;
-            exit 1)
-      in
-      let pos_int flag default =
-        match find_value flag args with
-        | None -> default
-        | Some v -> (
-          match int_of_string_opt v with
-          | Some n when n > 0 -> n
-          | _ ->
-            Printf.eprintf "bench %s: not a positive integer: %s\n" flag v;
-            exit 1)
-      in
-      let out_file = Option.value (find_value "--json" args) ~default:"bench-workload.json" in
-      try
-        if List.mem "--shards" args then begin
-          let shards = pos_int "--shards" 4 in
-          let tenants = pos_int "--tenants" (2 * shards) in
-          shard_mode ~profile cfg ~clients ~shards ~tenants out_file
-        end
-        else if List.mem "--skew" args then skew_mode ~profile ~smoke cfg ~clients out_file
-        else workload_mode ~profile cfg ~clients ~writers out_file
-      with Malformed msg ->
-        Printf.eprintf "bench --workload: malformed output: %s\n" msg;
-        exit 1
-    end
-    else
     match json with
     | Some out_file -> begin
       try

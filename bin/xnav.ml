@@ -43,6 +43,19 @@ let fidelity =
 
 let seed = Arg.(value & opt int 20050614 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.")
 
+(* Counts and sizes are range-checked by their converter, so an
+   out-of-range value is a usage error (exit 124), never an uncaught
+   exception or a vacuous run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let positive = int_at_least 1
+
 let input_file =
   Arg.(
     value
@@ -57,11 +70,13 @@ let image_file =
     & info [ "image" ] ~docv:"FILE" ~doc:"Persisted disk image to open (see the import command).")
 
 let page_size =
-  Arg.(value & opt int 8192 & info [ "page-size" ] ~docv:"BYTES" ~doc:"Disk page size.")
+  Arg.(value & opt positive 8192 & info [ "page-size" ] ~docv:"BYTES" ~doc:"Disk page size.")
 
 let capacity =
   Arg.(
-    value & opt int 1000 & info [ "buffer" ] ~docv:"PAGES" ~doc:"Buffer pool capacity in pages.")
+    value
+    & opt positive 1000
+    & info [ "buffer" ] ~docv:"PAGES" ~doc:"Buffer pool capacity in pages.")
 
 let policy =
   let parse s =
@@ -167,6 +182,14 @@ let apply_fused ~no_fused plan =
 
 (* --- document setup ------------------------------------------------------- *)
 
+(* A page too small for one node record is a bad --page-size: report
+   Import's message as a usage error, not an uncaught exception. *)
+let importing f =
+  try f ()
+  with Invalid_argument msg when String.starts_with ~prefix:"Import.run" msg ->
+    Printf.eprintf "xnav: %s\n" msg;
+    exit Cmd.Exit.cli_error
+
 let obtain_store ~image ~input ~scale ~fidelity ~seed ~page_size ~capacity ~policy ~strategy =
   match image with
   | Some file -> begin
@@ -182,7 +205,7 @@ let obtain_store ~image ~input ~scale ~fidelity ~seed ~page_size ~capacity ~poli
     in
     let config = { Disk.default_config with Disk.page_size } in
     let disk = Disk.create ~config () in
-    let import = Import.run ~strategy disk doc in
+    let import = importing (fun () -> Import.run ~strategy disk doc) in
     let buffer = Buffer_manager.create ~capacity ~policy disk in
     Store.attach buffer import
 
@@ -227,7 +250,7 @@ let import_cmd =
     in
     let config = { Disk.default_config with Disk.page_size } in
     let disk = Disk.create ~config () in
-    let import = Import.run ~strategy disk doc in
+    let import = importing (fun () -> Import.run ~strategy disk doc) in
     let buffer = Buffer_manager.create ~capacity:8 disk in
     let store = Store.attach buffer import in
     Image.save output [ store ];
@@ -374,7 +397,9 @@ let check_cmd =
   let module D = Xnav_check.Differential in
   let cases =
     Arg.(
-      value & opt int 200 & info [ "cases" ] ~docv:"N" ~doc:"Number of sampled cases to check.")
+      value
+      & opt positive 200
+      & info [ "cases" ] ~docv:"N" ~doc:"Number of sampled cases to check.")
   in
   let check_seed =
     Arg.(
@@ -523,7 +548,7 @@ let check_cmd =
         }
       in
       Format.printf "%a@." D.pp_case case;
-      (match D.check_case case with
+      (match importing (fun () -> D.check_case case) with
       | [] -> print_endline "case passes: all plans agree; all invariants hold"
       | mismatches ->
         List.iter (fun m -> Printf.printf "[%s] %s\n" m.D.plan m.D.detail) mismatches;
@@ -549,11 +574,14 @@ let workload_cmd =
       & info [] ~docv:"PATH" ~doc:"Location paths; each becomes one job per client per round.")
   in
   let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc:"Number of closed-loop clients.")
+    Arg.(
+      value & opt positive 4 & info [ "clients" ] ~docv:"N" ~doc:"Number of closed-loop clients.")
   in
   let rounds_arg =
     Arg.(
-      value & opt int 1 & info [ "rounds" ] ~docv:"N" ~doc:"Times each client repeats the paths.")
+      value
+      & opt positive 1
+      & info [ "rounds" ] ~docv:"N" ~doc:"Times each client repeats the paths.")
   in
   let timeout_arg =
     Arg.(
@@ -584,21 +612,13 @@ let workload_cmd =
   let writers_arg =
     Arg.(
       value
-      & opt int 0
+      & opt (int_at_least 0) 0
       & info [ "writers" ] ~docv:"K"
           ~doc:
             "Writer clients applying sampled in-place inserts and deletes alongside the readers \
              (cluster latches, snapshot reads, cluster-granular cache invalidation).")
   in
   let run paths clients rounds timeout plan quantum writers no_cache store =
-    if clients < 1 || rounds < 1 then begin
-      prerr_endline "xnav workload: --clients and --rounds must be positive";
-      exit 2
-    end;
-    if writers < 0 then begin
-      prerr_endline "xnav workload: --writers must be non-negative";
-      exit 2
-    end;
     let spec (label, path) = { Workload.label; path; plan; timeout; ops = [] } in
     (* Clients start out of phase (each rotates the path list by its
        index) so every path sees contention from the others. *)

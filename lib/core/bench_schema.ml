@@ -4,7 +4,7 @@
    emitters, the --compare parser's expectations and the test that pins
    the committed baseline all read it from here. *)
 
-let version = "xnav-bench/9"
+let version = "xnav-bench/10"
 
 let metric_fields m =
   List.map

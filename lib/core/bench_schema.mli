@@ -9,10 +9,12 @@
     [/1] per-plan metrics, [/2] batched I/O counters, [/3] workload
     mode, [/4] structural-index counters, [/5] fused-chain counters +
     micro tier, [/6] result-cache / shared-demand counters + the skewed
-    repeat-query workload section. *)
+    repeat-query workload section, [/7]-[/8] further counters, [/9]
+    exact counters and the calibrated CPU gate, [/10] every registry
+    metric in each row and no skew section. *)
 
 val version : string
-(** ["xnav-bench/6"]. *)
+(** ["xnav-bench/10"]. *)
 
 val metric_fields : Metric.t -> (string * string) list
 (** The metric part of a bench JSON row: one [(name, JSON value)] pair

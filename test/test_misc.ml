@@ -127,27 +127,39 @@ let tests =
           true (contains contents needle));
     Alcotest.test_case "the CLI reports a malformed path as a usage error" `Quick (fun () ->
         (* Every subcommand that takes a path parses it in its argument
-           converter: cmdliner's usage-error exit (124) with the parse
-           position, never an uncaught exception (125). *)
+           converter, and counts and sizes are range-checked in theirs:
+           cmdliner's usage-error exit (124) with the reason, never an
+           uncaught exception (125) or a vacuous run (0). *)
         let err = Filename.temp_file "xnav" ".err" in
+        let at position = Printf.sprintf "at position %d: expected a name" position in
+        let too_small = "page size too small for a single node record" in
         List.iter
-          (fun (args, position) ->
+          (fun (args, expected) ->
             let code =
-              Sys.command (Printf.sprintf "../bin/xnav.exe %s 2> %s" args (Filename.quote err))
+              Sys.command
+                (Printf.sprintf "../bin/xnav.exe %s > /dev/null 2> %s" args (Filename.quote err))
             in
             let ic = open_in err in
             let msg = In_channel.input_all ic in
             close_in ic;
             check Alcotest.int (args ^ ": exit code") 124 code;
-            let expected = Printf.sprintf "at position %d: expected a name" position in
             check bool
               (Printf.sprintf "%s: message %S mentions %S" args msg expected)
               true (contains msg expected))
           [
-            ("query '//item['", 7);
-            ("explain 'child::'", 7);
-            ("check --path '/a//'", 4);
-            ("workload '//a' 'b/'", 2);
+            ("query '//item['", at 7);
+            ("explain 'child::'", at 7);
+            ("check --path '/a//'", at 4);
+            ("workload '//a' 'b/'", at 2);
+            ("query --buffer 0 '//a'", "option '--buffer'");
+            ("query --page-size 0 '//a'", "option '--page-size'");
+            ("workload --clients 0 '//a'", "option '--clients'");
+            ("workload --rounds 0 '//a'", "option '--rounds'");
+            ("workload --writers=-1 '//a'", "option '--writers'");
+            ("check --cases 0", "option '--cases'");
+            ("check --cases=-5", "option '--cases'");
+            ("query --page-size 16 --fidelity 0.001 '//a'", too_small);
+            ("check --path '/a' --page-size 16", too_small);
           ];
         Sys.remove err);
   ]

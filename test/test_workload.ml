@@ -486,6 +486,234 @@ let shard_dedup_is_per_tenant () =
   Result_cache.clear ();
   Result_cache.reset_stats ()
 
+(* --- the paper's query mix on XMark ----------------------------------------- *)
+
+module Xmark = Xnav_xmark.Gen
+module Queries = Xnav_xmark.Queries
+
+(* XMark at fidelity 0.005 on 4-KiB pages (190 pages). With 32 frames
+   the pool is smaller than the store, so page reads measure sharing;
+   with 256 it holds the whole store. *)
+let xmark_store ~capacity =
+  let doc =
+    Xmark.generate ~config:{ Xmark.default_config with Xmark.scale = 1.0; fidelity = 0.005 } ()
+  in
+  let disk = Disk.create ~config:{ Disk.default_config with Disk.page_size = 4096 } () in
+  let import = Import.run disk doc in
+  (Store.attach (Buffer_manager.create ~capacity disk) import, import)
+
+(* Every path of q6'/q7/q15, labelled "q7.1" and so on. *)
+let paper_variants () =
+  List.concat_map
+    (fun (q : Queries.t) ->
+      List.mapi (fun i path -> (Printf.sprintf "%s.%d" q.Queries.name i, path)) q.Queries.paths)
+    [ Queries.q6'; Queries.q7; Queries.q15 ]
+
+(* A reader job planned as in Sec. 6.2: XSchedule, speculation off. *)
+let paper_spec ?(plan = Plan.xschedule ~speculative:false ()) ?(ops = []) (label, path) =
+  { Workload.label; path; plan; timeout = None; ops }
+
+(* Client [i] works through the mix rotated by [i], so the clients are
+   out of phase and every query meets contention. *)
+let rotated_clients n mix =
+  Array.init n (fun i ->
+      let k = i mod List.length mix in
+      List.filteri (fun j _ -> j >= k) mix @ List.filteri (fun j _ -> j < k) mix)
+
+let p99 jobs =
+  Workload.percentile (List.map (fun (j : Workload.job) -> j.Workload.latency) jobs) 99.0
+
+(* The gate every run below passes: every submitted job came back, the
+   invariant sweep is clean and no frame is left pinned. *)
+let check_clean what ~jobs ~violations ~got pools =
+  check Alcotest.int (what ^ ": every job came back") jobs got;
+  check Alcotest.(list string) (what ^ ": no invariant violations") [] violations;
+  List.iter
+    (fun b -> check Alcotest.int (what ^ ": no pinned frame") 0 (Buffer_manager.pinned_count b))
+    pools
+
+(* Eight closed-loop clients over a pool smaller than the store must
+   read fewer pages than eight independent serial passes of the mix, or
+   the session layer shares no I/O across queries. *)
+let paper_mix_shares_page_reads () =
+  let store, _ = xmark_store ~capacity:32 in
+  let mix = List.map paper_spec (paper_variants ()) in
+  let serial =
+    List.fold_left
+      (fun acc (s : Workload.spec) ->
+        acc
+        + (Exec.cold_run ~config:validating ~ordered:false store s.Workload.path s.Workload.plan)
+            .Exec.metrics.Exec.page_reads)
+      0 mix
+  in
+  let clients = 8 in
+  let r = Workload.run_clients ~config:validating ~cold:true store (rotated_clients clients mix) in
+  check_clean "paper mix" ~jobs:(clients * List.length mix) ~violations:r.Workload.violations
+    ~got:(List.length r.Workload.jobs) [ Store.buffer store ];
+  Printf.printf "page reads %d, budget %d (%d clients x %d serial)\n" r.Workload.page_reads
+    (clients * serial) clients serial;
+  check Alcotest.bool "concurrent page reads < clients x serial" true
+    (r.Workload.page_reads < clients * serial)
+
+(* Two writer clients committing in-place inserts and deletes beside the
+   eight readers (result cache on, so commits stale cached footprints):
+   the writers must commit, and the readers' p99 must stay within an
+   order of magnitude of the same readers' writer-free p99. *)
+let writers_keep_reader_tail_bounded () =
+  let store, import = xmark_store ~capacity:32 in
+  let caching = { validating with Context.result_cache = true } in
+  let readers = rotated_clients 8 (List.map paper_spec (paper_variants ())) in
+  Result_cache.clear ();
+  let base = p99 (Workload.run_clients ~config:caching ~cold:true store readers).Workload.jobs in
+  Result_cache.clear ();
+  (* Each writer alternates inserts and deletes over a stride of the
+     imported elements (never the root). *)
+  let ids = import.Import.node_ids in
+  let n = Array.length ids in
+  let writer w =
+    let ops =
+      List.init 6 (fun i ->
+          let id = ids.(1 + ((((w * 6) + i) * 7919) mod (n - 1))) in
+          if i mod 2 = 0 then Workload.Insert_child { parent = id; tag = Tag.of_string "w" }
+          else Workload.Delete_subtree id)
+    in
+    let path = (List.hd readers.(0)).Workload.path in
+    [ paper_spec ~plan:Plan.simple ~ops (Printf.sprintf "writer.%d" w, path) ]
+  in
+  let queues = Array.append readers [| writer 0; writer 1 |] in
+  let r = Workload.run_clients ~config:caching ~cold:true store queues in
+  Result_cache.clear ();
+  check_clean "writer mix"
+    ~jobs:(Array.fold_left (fun a q -> a + List.length q) 0 queues)
+    ~violations:r.Workload.violations ~got:(List.length r.Workload.jobs) [ Store.buffer store ];
+  check Alcotest.bool "the writers committed" true (r.Workload.writer_commits >= 1);
+  let reader_p99 =
+    p99
+      (List.filter
+         (fun (j : Workload.job) -> not (String.starts_with ~prefix:"writer." j.Workload.job_label))
+         r.Workload.jobs)
+  in
+  Printf.printf "%d commits; reader p99 %.4fs, writer-free %.4fs, bound %.4fs\n"
+    r.Workload.writer_commits reader_p99 base ((10.0 *. base) +. 1.0);
+  check Alcotest.bool "reader p99 <= 10 x writer-free p99 + 1s" true
+    (reader_p99 <= (10.0 *. base) +. 1.0)
+
+(* Zipf(1.1) repeat traffic over the mix's variants: closed-loop queues
+   drawn with a fixed 48-bit LCG, so every run draws the same jobs. *)
+let zipf_clients ~clients ~per_client =
+  let variants = Array.of_list (paper_variants ()) in
+  let n = Array.length variants in
+  let weights = Array.init n (fun r -> 1.0 /. (float_of_int (r + 1) ** 1.1)) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let state = ref 0x1234ABCD330E in
+  let next () =
+    state := ((!state * 25214903917) + 11) land 0xFFFFFFFFFFFF;
+    float_of_int (!state lsr 17) /. float_of_int 0x80000000
+  in
+  Array.init clients (fun c ->
+      List.init per_client (fun j ->
+          let u = next () *. total in
+          let rec pick r acc =
+            let acc = acc +. weights.(r) in
+            if u <= acc || r = n - 1 then r else pick (r + 1) acc
+          in
+          let label, path = variants.(pick 0 0.0) in
+          paper_spec (Printf.sprintf "%s#c%d.%d" label c j, path)))
+
+(* The cache-off/cache-on lookup ratio this workload measures (60 510
+   against 1 450). The test lets it fall by at most 2.25x, the margin
+   of the served/s backstop the counter gate replaced (1 + 5 x 25%). *)
+let zipf_lookup_ratio = 60510.0 /. 1450.0
+
+(* The result-cache front door must pay for itself by an order of
+   magnitude on repeat traffic, counted in buffer lookups — the paper's
+   swizzling-cost proxy — so the verdict reads no host clock. *)
+let front_door_cuts_repeat_work () =
+  let store, _ = xmark_store ~capacity:256 in
+  let clients = 8 and per_client = 32 in
+  let queues = zipf_clients ~clients ~per_client in
+  let jobs = clients * per_client in
+  let run cache =
+    Result_cache.clear ();
+    let r =
+      Workload.run_clients ~config:{ validating with Context.result_cache = cache } ~cold:true
+        store queues
+    in
+    Result_cache.clear ();
+    check_clean
+      (if cache then "cache on" else "cache off")
+      ~jobs ~violations:r.Workload.violations ~got:(List.length r.Workload.jobs)
+      [ Store.buffer store ];
+    (r, (Buffer_manager.stats (Store.buffer store)).Buffer_manager.lookups)
+  in
+  let off, lookups_off = run false in
+  check Alcotest.int "cache off never touches the front door" 0
+    (off.Workload.cache_hits + off.Workload.shared_jobs + off.Workload.cache_misses);
+  let on, lookups_on = run true in
+  check Alcotest.int "hits + shared scans + installs = jobs" jobs
+    (on.Workload.cache_hits + on.Workload.shared_jobs + on.Workload.cache_misses);
+  let ratio = float_of_int lookups_off /. float_of_int (max 1 lookups_on) in
+  Printf.printf "buffer lookups: %d off, %d on (%.1fx); page reads %d off, %d on\n" lookups_off
+    lookups_on ratio off.Workload.page_reads on.Workload.page_reads;
+  check Alcotest.bool "cache on does >= 10x fewer buffer lookups" true (ratio >= 10.0);
+  check Alcotest.bool "the lookup ratio holds >= its measured value / 2.25" true
+    (ratio >= zipf_lookup_ratio /. 2.25)
+
+(* Sixteen XMark tenants placed on [shards] shards of 256 frames. *)
+let tenant = Printf.sprintf "tenant-%02d"
+
+let xmark_tenants shards =
+  Shard.create ~capacity:256 ~page_size:4096 ~shards
+    (List.init 16 (fun i ->
+         ( tenant i,
+           Xmark.generate
+             ~config:
+               { Xmark.scale = 1.0; fidelity = 0.002; seed = Xmark.default_config.Xmark.seed + i }
+             () )))
+
+(* Eight closed-loop clients under 2Q, client [i] pinned to tenant [i],
+   each running four jobs of the paper mix plus an antagonistic XScan
+   sweep. No active tenant's tail may collapse against the median
+   tenant's (the 1 s floor keeps a near-zero median from tripping the
+   gate), and four shards must not lose to the same jobs colocated on
+   one. *)
+let sharded_tenants_stay_fair () =
+  let config = { validating with Context.scan_resistant = true } in
+  let scan = paper_spec ~plan:(Plan.xscan ()) ("scan", List.hd Queries.q7.Queries.paths) in
+  let clients =
+    Array.mapi
+      (fun i q ->
+        List.filteri (fun j _ -> j < 4) q
+        |> List.map (fun spec -> { Shard.tenant = tenant i; spec }))
+      (rotated_clients 8 (List.map paper_spec (paper_variants ()) @ [ scan ]))
+  in
+  let run shards =
+    let t = xmark_tenants shards in
+    let r = Shard.run_clients ~config ~cold:true t clients in
+    check_clean
+      (Printf.sprintf "%d shards" shards)
+      ~jobs:32 ~violations:r.Shard.violations ~got:(List.length r.Shard.jobs)
+      (List.init 8 (fun i -> Store.buffer (Shard.store t (tenant i))));
+    r
+  in
+  let wall (r : Shard.result) =
+    List.fold_left (fun a (s : Shard.shard_stat) -> Float.max a s.Shard.io_time) 0.0
+      r.Shard.shard_stats
+  in
+  let r = run 4 and single = run 1 in
+  let p99s =
+    List.filter_map
+      (fun (ts : Shard.tenant_stat) -> if ts.Shard.jobs > 0 then Some ts.Shard.p99 else None)
+      r.Shard.tenant_stats
+  in
+  let worst = List.fold_left Float.max 0.0 p99s and median = Workload.percentile p99s 50.0 in
+  Printf.printf "tenant p99 %.4fs, median %.4fs, bound %.4fs; wall %.4fs, single-shard %.4fs\n"
+    worst median ((10.0 *. median) +. 1.0) (wall r) (wall single);
+  check Alcotest.bool "tenant p99 <= 10 x tenant median + 1s" true
+    (worst <= (10.0 *. median) +. 1.0);
+  check Alcotest.bool "4-shard wall <= 1.05 x single-shard wall" true
+    (wall r <= (wall single *. 1.05) +. 1e-6)
+
 let percentiles_are_nearest_rank () =
   let xs = [ 4.0; 1.0; 3.0; 2.0; 5.0 ] in
   check (Alcotest.float 1e-9) "p50" 3.0 (Workload.percentile xs 50.0);
@@ -516,6 +744,12 @@ let suite =
           covering_index_reader_replays_serially;
         Alcotest.test_case "latency percentiles use nearest rank" `Quick
           percentiles_are_nearest_rank;
+        Alcotest.test_case "the paper mix shares page reads across clients" `Quick
+          paper_mix_shares_page_reads;
+        Alcotest.test_case "writers keep the readers' p99 bounded" `Quick
+          writers_keep_reader_tail_bounded;
+        Alcotest.test_case "the front door cuts repeat work tenfold" `Quick
+          front_door_cuts_repeat_work;
       ] );
     ( "workload.shards",
       [
@@ -529,5 +763,7 @@ let suite =
         Alcotest.test_case "one shard, one tenant is the single pool" `Quick
           one_shard_matches_single_pool;
         Alcotest.test_case "shared-scan dedup is per tenant" `Quick shard_dedup_is_per_tenant;
+        Alcotest.test_case "sharded tenants stay fair and beat colocation" `Quick
+          sharded_tenants_stay_fair;
       ] );
   ]
